@@ -80,15 +80,43 @@ def current_thread_id() -> int:
     return threading.get_ident()
 
 
+_new_instance = object.__new__
+_get_ident = threading.get_ident
+_CALL = EventKind.CALL
+_RETURN = EventKind.RETURN
+_FIELD_ASSIGN = EventKind.FIELD_ASSIGN
+_ASSERTION_SITE = EventKind.ASSERTION_SITE
+
+
+def _build(kind, name, args, retval, op, target, scope, thread_id, stack,
+           timestamp) -> RuntimeEvent:
+    """The construction fast path: fill a fresh event's ``__dict__``.
+
+    The frozen dataclass's generated ``__init__`` routes each of the ten
+    fields through ``object.__setattr__``; storing them into the instance
+    dict is several times cheaper and gives an event with the same
+    ``==``, ``repr`` and frozenness.  Callers pass every field,
+    positionally, in declaration order.
+    """
+    event = _new_instance(RuntimeEvent)
+    d = event.__dict__
+    d["kind"] = kind
+    d["name"] = name
+    d["args"] = args
+    d["retval"] = retval
+    d["op"] = op
+    d["target"] = target
+    d["scope"] = scope
+    d["thread_id"] = thread_id
+    d["stack"] = stack
+    d["timestamp"] = timestamp
+    return event
+
+
 def call_event(name: str, args: Tuple[Any, ...], stack: Tuple[str, ...] = ()) -> RuntimeEvent:
     """A function-entry event."""
-    return RuntimeEvent(
-        kind=EventKind.CALL,
-        name=name,
-        args=args,
-        thread_id=current_thread_id(),
-        stack=stack,
-    )
+    return _build(_CALL, name, args, None, None, None, {}, _get_ident(),
+                  stack, 0.0)
 
 
 def return_event(
@@ -98,14 +126,8 @@ def return_event(
     stack: Tuple[str, ...] = (),
 ) -> RuntimeEvent:
     """A function-return event carrying the return value."""
-    return RuntimeEvent(
-        kind=EventKind.RETURN,
-        name=name,
-        args=args,
-        retval=retval,
-        thread_id=current_thread_id(),
-        stack=stack,
-    )
+    return _build(_RETURN, name, args, retval, None, None, {}, _get_ident(),
+                  stack, 0.0)
 
 
 def field_assign_event(
@@ -117,25 +139,23 @@ def field_assign_event(
     stack: Tuple[str, ...] = (),
 ) -> RuntimeEvent:
     """A structure-field store event (``Struct.field``)."""
-    return RuntimeEvent(
-        kind=EventKind.FIELD_ASSIGN,
-        name=f"{struct}.{field_name}",
-        retval=value,
-        op=op,
-        target=target,
-        thread_id=current_thread_id(),
-        stack=stack,
-    )
+    return _build(_FIELD_ASSIGN, f"{struct}.{field_name}", (), value, op,
+                  target, {}, _get_ident(), stack, 0.0)
 
 
 def assertion_site_event(
     assertion: str, scope: Optional[Dict[str, Any]] = None, stack: Tuple[str, ...] = ()
 ) -> RuntimeEvent:
-    """An assertion-site event carrying the site's scope values."""
-    return RuntimeEvent(
-        kind=EventKind.ASSERTION_SITE,
-        name=assertion,
-        scope=dict(scope or {}),
-        thread_id=current_thread_id(),
-        stack=stack,
-    )
+    """An assertion-site event carrying a copy of the site's scope values."""
+    return _build(_ASSERTION_SITE, assertion, (), None, None, None,
+                  dict(scope or {}), _get_ident(), stack, 0.0)
+
+
+def _site_event(assertion: str, scope: Dict[str, Any]) -> RuntimeEvent:
+    """:func:`assertion_site_event` for a caller that owns *scope*.
+
+    ``tesla_site`` receives its ``**scope`` as a dict built for that one
+    call, so the event can keep it instead of copying it again.
+    """
+    return _build(_ASSERTION_SITE, assertion, (), None, None, None, scope,
+                  _get_ident(), (), 0.0)

@@ -36,7 +36,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from ..core.events import (
     EventKind,
     RuntimeEvent,
-    assertion_site_event,
+    _site_event,
     call_event,
     return_event,
 )
@@ -280,7 +280,8 @@ def tesla_site(assertion_name: str, **scope: Any) -> None:
     sinks = site_registry.sinks_for(assertion_name)
     if sinks is None:
         return
-    event = assertion_site_event(assertion_name, scope)
+    # ``**scope`` is a fresh dict built for this call: hand it over as is.
+    event = _site_event(assertion_name, scope)
     for sink in sinks:
         try:
             if _fi._active is not None:

@@ -338,12 +338,23 @@ class DrainController:
                 if not self._contain("flush", exc):
                     raise
                 return
-        while self._drain_pass() > 0:
-            pass
-        # The final (empty) pass serialised behind any in-flight drainer
-        # pass, and the drainer parks errors before releasing the drain
-        # lock — so an error from a concurrent pass is visible here.
-        self._raise_pending()
+        if self.background:
+            while self._drain_pass() > 0:
+                pass
+            # The final (empty) pass serialised behind any in-flight
+            # drainer pass, and the drainer parks errors before releasing
+            # the drain lock — so an error from a concurrent pass is
+            # visible here.
+            self._raise_pending()
+        else:
+            # No drainer to serialise behind: the first pass already
+            # waited out any concurrent one, so after a productive pass a
+            # lock-free look at the rings replaces the trailing empty
+            # pass.  It still catches events captured *during* the pass:
+            # the drain lock is re-entrant, so a violation handler may
+            # have run instrumented code.
+            while self._drain_pass() > 0 and self._captured():
+                pass
         # Sync-point timer check (DESIGN §5.9): every captured event has
         # now been evaluated, so any deadline still pending with no
         # successor event is overdue — this is where it surfaces.  A
@@ -370,6 +381,10 @@ class DrainController:
             self.sync_flushes += 1
         self.flush_seconds += elapsed
         self.last_flush_seconds = elapsed
+
+    def _captured(self) -> bool:
+        """Lock-free: does any ring hold events no pass has taken yet?"""
+        return any(ring.head != ring.tail for ring in self._rings)
 
     def _raise_pending(self) -> None:
         if self._pending_errors:

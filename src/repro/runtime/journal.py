@@ -65,7 +65,7 @@ from pathlib import Path
 from typing import Any, BinaryIO, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..core.ast import AssignOp, TemporalAssertion
-from ..core.events import EventKind, RuntimeEvent
+from ..core.events import EventKind, RuntimeEvent, _build
 from ..errors import JournalCorruption, JournalError
 
 __all__ = [
@@ -120,6 +120,9 @@ _T_LIST = 0x08
 _T_DICT = 0x09
 _T_OPAQUE = 0x7F
 
+_EMPTY_TUPLE = bytes((_T_TUPLE, 0))
+_EMPTY_DICT = bytes((_T_DICT, 0))
+
 
 @dataclass(frozen=True)
 class Opaque:
@@ -155,57 +158,6 @@ def _write_str(out: bytearray, text: str) -> None:
     out.extend(data)
 
 
-class _Encoder:
-    """One record body under construction; counts opaque fallbacks."""
-
-    __slots__ = ("out", "opaque")
-
-    def __init__(self) -> None:
-        self.out = bytearray()
-        self.opaque = 0
-
-    def value(self, value: Any) -> None:
-        out = self.out
-        if value is None:
-            out.append(_T_NONE)
-        elif value is True:
-            out.append(_T_TRUE)
-        elif value is False:
-            out.append(_T_FALSE)
-        elif type(value) is int:
-            out.append(_T_INT)
-            _write_svarint(out, value)
-        elif type(value) is float:
-            out.append(_T_FLOAT)
-            out.extend(_F64.pack(value))
-        elif type(value) is str:
-            out.append(_T_STR)
-            _write_str(out, value)
-        elif type(value) is bytes:
-            out.append(_T_BYTES)
-            _write_uvarint(out, len(value))
-            out.extend(value)
-        elif type(value) is tuple or type(value) is list:
-            out.append(_T_TUPLE if type(value) is tuple else _T_LIST)
-            _write_uvarint(out, len(value))
-            for item in value:
-                self.value(item)
-        elif type(value) is dict:
-            out.append(_T_DICT)
-            _write_uvarint(out, len(value))
-            for key, item in value.items():
-                self.value(key)
-                self.value(item)
-        elif type(value) is Opaque:
-            # Re-journalling a decoded journal round-trips opaques as-is.
-            out.append(_T_OPAQUE)
-            _write_str(out, value.text)
-        else:
-            self.opaque += 1
-            out.append(_T_OPAQUE)
-            _write_str(out, repr(value))
-
-
 #: Scalar types that encode purely from (type, value) — safe to cache.
 #: Containers are excluded from cacheability checks at store time:
 #: ``((1,),) == ((True,),)`` would collide, and a shallow type check on
@@ -214,140 +166,286 @@ _SCALAR_TYPES = frozenset(
     (str, int, float, bytes, bool, type(None))
 )
 
-#: (thread id, kind, op, name, args, retval) → (blob, ret guard, args
-#: guard).  Real traces repeat a small set of event shapes (the same
-#: hooks firing with the same small value vocabulary), so on a hit the
-#: per-event encode cost collapses to one tuple build + one dict probe
-#: returning the fully pre-encoded thread-id + suffix bytes.  The key
-#: alone is ambiguous across numeric types (``1 == True == 1.0`` and
-#: they hash alike), so entries whose values carry numeric payloads keep
-#: a guard — the retval class and/or the original args tuple — that a
-#: hit must type-match before the cached bytes are trusted.  Only
-#: opaque-free suffixes are cached (an object's repr may change between
-#: occurrences).
-_SUFFIX_CACHE: Dict[tuple, Tuple[bytes, Optional[type], Optional[tuple]]] = {}
-_SUFFIX_CACHE_MAX = 4096
+#: Every cache below is cleared when it reaches this many entries.
+_CACHE_MAX = 4096
 
-#: Same idea for scope-carrying events (assertion sites): key grows a
-#: ``tuple(scope.items())`` tail, and the entry carries a third guard —
-#: the items tuple itself — when any scope key or value is numeric
-#: (``{1: x}`` and ``{True: x}`` hash alike).  Sites are a small share
-#: of a trace but pay the full per-event encode without this.
-_SCOPED_CACHE: Dict[
-    tuple, Tuple[bytes, Optional[type], Optional[tuple], Optional[tuple]]
+#: (thread id, kind, op, name) → the encoded head of an inner event body:
+#: zigzag thread id, kind byte, assign-op byte, length-prefixed name.  A
+#: trace fires a few dozen hooks from a handful of threads.
+_HEAD_CACHE: Dict[tuple, bytes] = {}
+
+#: Exact ``str`` and ``int`` values → their tagged encoding: the
+#: ``(type, value)`` atom cache.  Only those two types ever enter, and a
+#: lookup is made only after an exact type check, so the key's type is
+#: implied — no ``int`` equals a ``str``, and the bools and floats that
+#: would alias ints (``1 == True == 1.0``, ``0 == -0.0``) never go in.
+#: Strings longer than :data:`_ATOM_MAX_BYTES` are encoded, not kept.
+_ATOM_CACHE: Dict[Any, bytes] = {}
+_ATOM_MAX_BYTES = 64
+
+#: (thread id, kind, op, name, args, retval[, scope items]) → (blob,
+#: retval class, args guard, scope guard): the scalar blob cache.  Real
+#: traces repeat a small set of event shapes (the same hooks firing with
+#: the same small value vocabulary), so on a hit the per-event encode
+#: cost collapses to one tuple build + one dict probe returning the fully
+#: pre-encoded inner body.  The key alone is ambiguous across numeric
+#: types (``1 == True == 1.0`` and they hash alike, as do ``{1: x}`` and
+#: ``{True: x}``), so every entry keeps the retval's exact class, and
+#: entries whose args or scope carry numerics keep the original args
+#: tuple or scope items, which a hit must type-match before the cached
+#: bytes are trusted.  Zero floats are never cached: ``0.0 == -0.0``
+#: with the same type, and only the bits differ.  Only all-scalar
+#: payloads are cached (an object's repr may change between events).
+_BLOB_CACHE: Dict[
+    tuple, Tuple[bytes, type, Optional[tuple], Optional[tuple]]
 ] = {}
 
-#: thread id → encoded zigzag varint (a handful per process).
-_TID_CACHE: Dict[int, bytes] = {}
+
+def _encode_head(key: tuple) -> bytes:
+    """Encode and cache one ``(thread id, kind, op, name)`` head."""
+    tid, kind, op, name = key
+    kind_index = _KIND_INDEX.get(kind)
+    if kind_index is None:
+        raise JournalError(f"unjournallable event kind {kind!r}")
+    out = bytearray()
+    _write_svarint(out, tid)
+    out.append(kind_index)
+    out.append(_OP_NONE if op is None else _OP_INDEX[op])
+    _write_str(out, name)
+    head = bytes(out)
+    if len(_HEAD_CACHE) >= _CACHE_MAX:
+        _HEAD_CACHE.clear()
+    _HEAD_CACHE[key] = head
+    return head
 
 
-
-def _encode_suffix(event: RuntimeEvent, kind: int) -> Tuple[bytes, int]:
-    """Everything after the thread id: kind, op, name, payload values."""
-    enc = _Encoder()
-    out = enc.out
-    out.append(kind)
-    out.append(_OP_NONE if event.op is None else _OP_INDEX[event.op])
-    _write_str(out, event.name)
-    enc.value(tuple(event.args))
-    enc.value(event.retval)
-    enc.value(event.target)
-    enc.value(dict(event.scope))
-    enc.value(tuple(event.stack))
-    return bytes(out), enc.opaque
-
-
-def _encode_tid(tid: int) -> bytes:
-    buf = bytearray()
-    _write_svarint(buf, tid)
-    encoded = bytes(buf)
-    if len(_TID_CACHE) < 4096:
-        _TID_CACHE[tid] = encoded
-    return encoded
+def _encode_atom(value: Any) -> bytes:
+    """Encode one exact ``str`` or ``int``, caching it when short."""
+    out = bytearray()
+    if type(value) is str:
+        out.append(_T_STR)
+        _write_str(out, value)
+    else:
+        out.append(_T_INT)
+        _write_svarint(out, value)
+    atom = bytes(out)
+    if len(atom) <= _ATOM_MAX_BYTES:
+        if len(_ATOM_CACHE) >= _CACHE_MAX:
+            _ATOM_CACHE.clear()
+        _ATOM_CACHE[value] = atom
+    return atom
 
 
-def _encode_unseq(event: RuntimeEvent) -> Tuple[bytes, int]:
-    """One batch-inner event body: thread id + suffix, no seqno."""
-    kind = _KIND_INDEX.get(event.kind)
-    if kind is None:
-        raise JournalError(f"unjournallable event kind {event.kind!r}")
-    suffix, opaque = _encode_suffix(event, kind)
-    tid = event.thread_id
-    tid_bytes = _TID_CACHE.get(tid) or _encode_tid(tid)
-    return tid_bytes + suffix, opaque
+# Value writers, one per encodable type, dispatched on the exact type.
+# Each appends one tagged value to ``out`` and returns the number of
+# opaque fallbacks inside it.
 
 
-def _cache_blob(event: RuntimeEvent, key: tuple) -> Optional[bytes]:
-    """Encode *event*'s inner body and cache it when the shape allows.
+def _write_atom(out: bytearray, value: Any) -> int:
+    atom = _ATOM_CACHE.get(value)
+    out += atom if atom is not None else _encode_atom(value)
+    return 0
 
-    Returns the blob when cached, None when the event must take the
-    uncached path (non-scalar values or opaque fallbacks)."""
-    scalars = _SCALAR_TYPES
-    for value in event.args:
-        if value.__class__ not in scalars:
-            return None
-    retval = event.retval
-    if retval.__class__ not in scalars:
-        return None
-    kind = _KIND_INDEX.get(event.kind)
-    if kind is None:
-        raise JournalError(f"unjournallable event kind {event.kind!r}")
-    suffix, opaque = _encode_suffix(event, kind)
-    if opaque:
-        return None
-    tid = event.thread_id
-    blob = (_TID_CACHE.get(tid) or _encode_tid(tid)) + suffix
-    ret_guard = retval.__class__ if isinstance(retval, (int, float)) else None
-    args_guard = (
-        event.args
-        if any(isinstance(value, (int, float)) for value in event.args)
-        else None
+
+def _write_opaque(out: bytearray, value: Any) -> int:
+    # A fresh snapshot every time, never cached: the repr of a live
+    # object (a socket, a credential) can change between events.
+    data = repr(value).encode("utf-8")
+    out.append(_T_OPAQUE)
+    size = len(data)
+    if size < 0x80:
+        out.append(size)
+    else:
+        _write_uvarint(out, size)
+    out += data
+    return 1
+
+
+def _write_sequence(out: bytearray, value: Any) -> int:
+    out.append(_T_TUPLE if type(value) is tuple else _T_LIST)
+    if len(value) < 0x80:
+        out.append(len(value))
+    else:
+        _write_uvarint(out, len(value))
+    atoms = _ATOM_CACHE
+    writers = _WRITERS
+    opaque = 0
+    for item in value:
+        cls = type(item)
+        if cls is str or cls is int:
+            atom = atoms.get(item)
+            out += atom if atom is not None else _encode_atom(item)
+        else:
+            opaque += writers.get(cls, _write_opaque)(out, item)
+    return opaque
+
+
+def _write_dict(out: bytearray, value: Any) -> int:
+    out.append(_T_DICT)
+    if len(value) < 0x80:
+        out.append(len(value))
+    else:
+        _write_uvarint(out, len(value))
+    atoms = _ATOM_CACHE
+    writers = _WRITERS
+    opaque = 0
+    for pair in value.items():
+        for item in pair:
+            cls = type(item)
+            if cls is str or cls is int:
+                atom = atoms.get(item)
+                out += atom if atom is not None else _encode_atom(item)
+            else:
+                opaque += writers.get(cls, _write_opaque)(out, item)
+    return opaque
+
+
+def _write_constant(out: bytearray, value: Any) -> int:
+    out.append(
+        _T_NONE if value is None else _T_TRUE if value is True else _T_FALSE
     )
-    if len(_SUFFIX_CACHE) >= _SUFFIX_CACHE_MAX:
-        _SUFFIX_CACHE.clear()
-    _SUFFIX_CACHE[key] = (blob, ret_guard, args_guard)
-    return blob
+    return 0
 
 
-def _cache_scoped_blob(
+def _write_float(out: bytearray, value: Any) -> int:
+    out.append(_T_FLOAT)
+    out += _F64.pack(value)
+    return 0
+
+
+def _write_bytes(out: bytearray, value: Any) -> int:
+    out.append(_T_BYTES)
+    _write_uvarint(out, len(value))
+    out += value
+    return 0
+
+
+def _write_snapshot(out: bytearray, value: Any) -> int:
+    # Re-journalling a decoded journal round-trips opaques as-is.
+    out.append(_T_OPAQUE)
+    _write_str(out, value.text)
+    return 0
+
+
+#: Exact type → writer.  Anything not listed, subclasses of the listed
+#: types included, is journalled as an opaque ``repr`` snapshot.
+_WRITERS = {
+    str: _write_atom,
+    int: _write_atom,
+    tuple: _write_sequence,
+    list: _write_sequence,
+    dict: _write_dict,
+    type(None): _write_constant,
+    bool: _write_constant,
+    float: _write_float,
+    bytes: _write_bytes,
+    Opaque: _write_snapshot,
+}
+
+
+def _encode_into(out: bytearray, event: RuntimeEvent) -> int:
+    """Append *event*'s inner body (no seqno, no timestamp) to *out*.
+
+    The one event encoder: ``E`` records, batch records and the blob
+    cache's miss path all come through here.  Head from the head cache,
+    then args, retval, target, scope and stack written inline, with
+    short strings and ints from the atom cache.  Returns the number of
+    values that fell back to an opaque ``repr``.
+    """
+    d = event.__dict__
+    key = (d["thread_id"], d["kind"], d["op"], d["name"])
+    head = _HEAD_CACHE.get(key)
+    out += head if head is not None else _encode_head(key)
+    atoms = _ATOM_CACHE
+    writers = _WRITERS
+    opaque = 0
+    # args, always tagged as a tuple.
+    args = d["args"]
+    out.append(_T_TUPLE)
+    if len(args) < 0x80:
+        out.append(len(args))
+    else:
+        _write_uvarint(out, len(args))
+    for value in args:
+        cls = type(value)
+        if cls is str or cls is int:
+            atom = atoms.get(value)
+            out += atom if atom is not None else _encode_atom(value)
+        elif cls in writers:
+            opaque += writers[cls](out, value)
+        else:
+            # A live object, the usual non-scalar argument: the opaque
+            # snapshot is written inline (see _write_opaque).
+            data = repr(value).encode("utf-8")
+            out.append(_T_OPAQUE)
+            size = len(data)
+            if size < 0x80:
+                out.append(size)
+            else:
+                _write_uvarint(out, size)
+            out += data
+            opaque += 1
+    value = d["retval"]
+    if value is None:
+        out.append(_T_NONE)
+    else:
+        opaque += writers.get(type(value), _write_opaque)(out, value)
+    value = d["target"]
+    if value is None:
+        out.append(_T_NONE)
+    else:
+        opaque += writers.get(type(value), _write_opaque)(out, value)
+    scope = d["scope"]
+    if scope:
+        opaque += _write_dict(out, scope if type(scope) is dict else dict(scope))
+    else:
+        out += _EMPTY_DICT
+    # stack, always tagged as a tuple.
+    stack = d["stack"]
+    if stack:
+        out.append(_T_TUPLE)
+        _write_uvarint(out, len(stack))
+        for frame in stack:
+            opaque += writers.get(type(frame), _write_opaque)(out, frame)
+    else:
+        out += _EMPTY_TUPLE
+    return opaque
+
+
+def _numeric(value: Any) -> bool:
+    return isinstance(value, (int, float))
+
+
+def _zero_float(value: Any) -> bool:
+    return value.__class__ is float and value == 0.0
+
+
+def _cache_blob(
     event: RuntimeEvent, key: tuple, items: tuple
 ) -> Optional[bytes]:
-    """As :func:`_cache_blob` for scope-carrying events (sites)."""
-    scalars = _SCALAR_TYPES
-    for value in event.args:
-        if value.__class__ not in scalars:
-            return None
+    """Encode an event with scalar args and scope and cache its blob.
+
+    Returns None (not cached) when the retval is not a scalar or any
+    value is a zero float."""
+    args = event.args
     retval = event.retval
-    if retval.__class__ not in scalars:
+    if (
+        type(retval) not in _SCALAR_TYPES
+        or _zero_float(retval)
+        or any(map(_zero_float, args))
+        or any(_zero_float(k) or _zero_float(v) for k, v in items)
+    ):
         return None
-    for k, v in items:
-        if k.__class__ not in scalars or v.__class__ not in scalars:
-            return None
-    kind = _KIND_INDEX.get(event.kind)
-    if kind is None:
-        raise JournalError(f"unjournallable event kind {event.kind!r}")
-    suffix, opaque = _encode_suffix(event, kind)
-    if opaque:
-        return None
-    tid = event.thread_id
-    blob = (_TID_CACHE.get(tid) or _encode_tid(tid)) + suffix
-    ret_guard = retval.__class__ if isinstance(retval, (int, float)) else None
-    args_guard = (
-        event.args
-        if any(isinstance(value, (int, float)) for value in event.args)
-        else None
-    )
+    out = bytearray()
+    _encode_into(out, event)
+    blob = bytes(out)
+    args_guard = args if any(map(_numeric, args)) else None
     scope_guard = (
-        items
-        if any(
-            isinstance(k, (int, float)) or isinstance(v, (int, float))
-            for k, v in items
-        )
-        else None
+        items if any(_numeric(k) or _numeric(v) for k, v in items) else None
     )
-    if len(_SCOPED_CACHE) >= _SUFFIX_CACHE_MAX:
-        _SCOPED_CACHE.clear()
-    _SCOPED_CACHE[key] = (blob, ret_guard, args_guard, scope_guard)
+    if len(_BLOB_CACHE) >= _CACHE_MAX:
+        _BLOB_CACHE.clear()
+    _BLOB_CACHE[key] = (blob, type(retval), args_guard, scope_guard)
     return blob
 
 
@@ -355,10 +453,11 @@ def encode_event(seqno: int, event: RuntimeEvent) -> Tuple[bytes, int]:
     """Encode one slot as an ``E`` record body; returns (body, opaques)."""
     if seqno < 0:
         raise JournalError(f"journal seqnos are non-negative, got {seqno}")
-    inner, opaque = _encode_unseq(event)
-    head = bytearray((_REC_EVENT,))
-    _write_uvarint(head, seqno)
-    return bytes(head) + inner + _F64.pack(event.timestamp), opaque
+    out = bytearray((_REC_EVENT,))
+    _write_uvarint(out, seqno)
+    opaque = _encode_into(out, event)
+    out += _F64.pack(event.timestamp)
+    return bytes(out), opaque
 
 
 def _encode_fallback(
@@ -387,10 +486,10 @@ def encode_batch(
     drain-pass batch does, the merge is seqno-sorted over a gap-free
     counter — becomes one framed ``B`` record: the frame (length prefix
     + CRC) and the base seqno are paid once, and the common event shape
-    (empty scope/stack, no target, scalar payload) resolves to a cached
-    pre-encoded blob, so steady-state cost per event is one dict probe
-    plus one byte concatenation.  Anything else falls back to per-event
-    ``E`` records.
+    (no stack or target, scalar payload) resolves to a cached pre-encoded
+    blob, so steady-state cost per event is one dict probe plus one byte
+    concatenation; events carrying live objects go to the flat encoder.
+    Anything else falls back to per-event ``E`` records.
     """
     if not isinstance(slots, list):
         slots = list(slots)
@@ -400,96 +499,95 @@ def encode_batch(
     base = slots[0][0]
     if base < 0 or slots[-1][0] - base + 1 != count:
         return _encode_fallback(slots)
-    cache = _SUFFIX_CACHE
+    scalars = _SCALAR_TYPES
+    cache = _BLOB_CACHE
+    pack_timestamp = _F64.pack
     body = bytearray((_REC_BATCH,))
-    _write_uvarint(body, count)
+    if count < 0x80:
+        body.append(count)
+    else:
+        _write_uvarint(body, count)
     _write_uvarint(body, base)
     opaques = 0
-    for want, slot in enumerate(slots, base):
-        seqno, event = slot
+    want = base
+    for seqno, event in slots:
         if seqno != want:  # not actually contiguous: start over
             return _encode_fallback(slots)
-        blob = None
+        want += 1
         # Instance-dict subscripts with literal keys are the cheapest
         # field access CPython offers (~2x faster here than attrgetter);
         # RuntimeEvent is a plain (non-slots) dataclass, so every field
         # lives in __dict__.
         d = event.__dict__
-        if not d["scope"] and not d["stack"] and d["target"] is None:
-            key = (
-                d["thread_id"], d["kind"], d["op"],
-                d["name"], d["args"], d["retval"],
-            )
-            try:
-                # Direct subscript, not .get(): the steady state is a
-                # hit, and the zero-cost try beats a bound-method call.
-                entry = cache[key]
-            except KeyError:
-                entry = None
-            except TypeError:  # unhashable payload: uncached path
-                entry = key = None
-            if entry is not None:
-                blob, ret_guard, args_guard = entry
-                # Key equality is not type equality (1 == True == 1.0):
-                # entries with numeric payloads carry guards that must
-                # type-match before the cached bytes are trusted.
-                if (
-                    ret_guard is not None
-                    and ret_guard is not d["retval"].__class__
-                ):
-                    blob = None
-                elif args_guard is not None:
-                    for a, b in zip(d["args"], args_guard):
-                        if type(a) is not type(b):
-                            blob = None
+        # Only all-scalar payloads can hit the blob cache, so test the
+        # args' classes before building a key: events carrying live
+        # objects go straight to the encoder.  Every entry guards the
+        # retval's exact class, and the scope items are checked below.
+        if d["target"] is None and not d["stack"]:
+            args = d["args"]
+            for value in args:
+                if type(value) not in scalars:
+                    break
+            else:
+                retval = d["retval"]
+                scope = d["scope"]
+                key = None
+                if not scope:
+                    items = ()
+                    key = (
+                        d["thread_id"], d["kind"], d["op"],
+                        d["name"], args, retval,
+                    )
+                elif type(scope) is dict:
+                    items = tuple(scope.items())
+                    for k, v in items:
+                        if type(k) not in scalars or type(v) not in scalars:
                             break
-            elif key is not None:
-                blob = _cache_blob(event, key)
-        elif not d["stack"] and d["target"] is None:
-            # Scope-carrying events (assertion sites): same cache idea
-            # with the scope snapshot folded into the key.
-            try:
-                items = tuple(d["scope"].items())
-                key = (
-                    d["thread_id"], d["kind"], d["op"],
-                    d["name"], d["args"], d["retval"], items,
-                )
-                entry = _SCOPED_CACHE[key]
-            except KeyError:
-                entry = None
-            except (TypeError, AttributeError):
-                entry = key = None
-            if entry is not None:
-                blob, ret_guard, args_guard, scope_guard = entry
-                if (
-                    ret_guard is not None
-                    and ret_guard is not d["retval"].__class__
-                ):
-                    blob = None
-                elif args_guard is not None and any(
-                    type(a) is not type(b)
-                    for a, b in zip(d["args"], args_guard)
-                ):
-                    blob = None
-                elif scope_guard is not None:
-                    for (ka, va), (kb, vb) in zip(items, scope_guard):
-                        if (
-                            type(ka) is not type(kb)
-                            or type(va) is not type(vb)
-                        ):
+                    else:
+                        key = (
+                            d["thread_id"], d["kind"], d["op"],
+                            d["name"], args, retval, items,
+                        )
+                blob = None
+                if key is not None:
+                    try:
+                        # Direct subscript, not .get(): the steady state
+                        # is a hit, and the zero-cost try beats a
+                        # bound-method call.
+                        blob, ret_class, args_guard, scope_guard = cache[key]
+                    except KeyError:
+                        blob = _cache_blob(event, key, items)
+                    except TypeError:  # an unhashable retval or head field
+                        pass
+                    else:
+                        # Key equality is not type equality (1 == True ==
+                        # 1.0): the cached bytes are trusted only when the
+                        # retval's class and, for numeric payloads, the
+                        # args' and scope items' classes match.
+                        if ret_class is not type(retval):
                             blob = None
-                            break
-            elif key is not None:
-                blob = _cache_scoped_blob(event, key, items)
-        if blob is None:
-            inner, opaque = _encode_unseq(event)
-            opaques += opaque
-            body += inner
-        else:
-            body += blob
-        # Capture timestamp travels outside the cached blob so the blob
-        # stays valid across events that differ only in capture time.
-        body += _F64.pack(d["timestamp"])
+                        elif args_guard is not None:
+                            for a, b in zip(args, args_guard):
+                                if type(a) is not type(b):
+                                    blob = None
+                                    break
+                        if scope_guard is not None:
+                            for (ka, va), (kb, vb) in zip(items, scope_guard):
+                                if (
+                                    type(ka) is not type(kb)
+                                    or type(va) is not type(vb)
+                                ):
+                                    blob = None
+                                    break
+                if blob is not None:
+                    body += blob
+                    # The capture timestamp travels outside the cached
+                    # blob, which stays valid across events that differ
+                    # only in capture time.
+                    body += pack_timestamp(d["timestamp"])
+                    continue
+        opaques += _encode_into(body, event)
+        body += pack_timestamp(d["timestamp"])
     frame = _U32.pack(len(body)) + body + _U32.pack(zlib.crc32(body))
     return frame, count, 1, opaques
 
@@ -582,19 +680,18 @@ def _decode_unseq(dec: _Decoder) -> RuntimeEvent:
     scope = dec.value()
     stack = dec.value()
     timestamp = _F64.unpack(dec.take(8))[0]
-    event = RuntimeEvent(
-        kind=_KINDS[kind_index],
-        name=name,
-        args=args,
-        retval=retval,
-        op=None if op_index == _OP_NONE else _OPS[op_index],
-        target=target,
-        scope=scope,
-        thread_id=thread_id,
-        stack=stack,
-        timestamp=timestamp,
+    return _build(
+        _KINDS[kind_index],
+        name,
+        args,
+        retval,
+        None if op_index == _OP_NONE else _OPS[op_index],
+        target,
+        scope,
+        thread_id,
+        stack,
+        timestamp,
     )
-    return event
 
 
 def decode_event(body: bytes) -> Tuple[int, RuntimeEvent]:

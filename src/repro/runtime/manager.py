@@ -715,7 +715,9 @@ class TeslaRuntime:
             # Capture timestamping (DESIGN §5.9): the monotonic stamp is
             # taken *here*, before any deferral, so clock guards measure
             # when the program did the thing, not when the drain ran.
-            object.__setattr__(event, "timestamp", self.clock.now())
+            # Stamped through the instance dict: the frozen dataclass's
+            # __setattr__ would refuse, and object.__setattr__ is slower.
+            event.__dict__["timestamp"] = self.clock.now()
         elif event.timestamp > self._max_event_ts:
             self._max_event_ts = event.timestamp
         if self.drain is not None:
@@ -792,7 +794,7 @@ class TeslaRuntime:
             if self.stamp_capture:
                 now = self.clock.now()
                 for event in events:
-                    object.__setattr__(event, "timestamp", now)
+                    event.__dict__["timestamp"] = now
             else:
                 for event in events:
                     if event.timestamp > self._max_event_ts:

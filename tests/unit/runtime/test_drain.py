@@ -154,6 +154,34 @@ class TestManualMode:
         assert runtime.hub.policy.violations == []
         assert runtime.drain.queue_depth() == 0
 
+    def test_flush_drains_events_a_violation_handler_captures(self):
+        # The drain lock is re-entrant, so a violation handler running
+        # inside a drain pass may itself call instrumented code.  The
+        # events it captures land in the ring mid-pass; the flush must
+        # take them in a second pass before returning.
+        class ReentrantPolicy(LogAndContinue):
+            def on_violation(self, violation):
+                super().on_violation(violation)
+                runtime.handle_event(body_event("from-handler"))
+                runtime.handle_event(body_event("from-handler-2"))
+
+        runtime = make_runtime(policy=ReentrantPolicy())
+        runtime.handle_event(call_event("drain_sys0", ()))
+        drains = runtime.drain.drains
+        runtime.handle_event(body_event("v1"))
+        # Violates (v2 was never checked): the site's sync flush drains
+        # the body event and the site in one pass, the handler captures
+        # two events mid-pass, and a second pass drains them.
+        runtime.handle_event(assertion_site_event("drain_cls0", {"v": "v2"}))
+        assert len(runtime.hub.policy.violations) == 1
+        assert runtime.drain.queue_depth() == 0
+        assert runtime.drain.drains == drains + 2
+        stats = runtime.drain.stats()
+        assert stats["events_enqueued"] == stats["events_drained"] == 5
+        # A flush with nothing captured makes one empty pass and no drain.
+        runtime.flush_deferred()
+        assert runtime.drain.drains == drains + 2
+
 
 class TestSeqnoMerge:
     def test_multi_thread_capture_merges_in_stamp_order(self):

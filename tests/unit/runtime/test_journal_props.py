@@ -17,6 +17,7 @@ Three families of invariants:
 from __future__ import annotations
 
 import io
+import struct
 import threading
 
 import pytest
@@ -36,7 +37,9 @@ from repro.runtime.journal import (
     JOURNAL_MAGIC,
     JournalWriter,
     Opaque,
+    decode_batch,
     decode_event,
+    encode_batch,
     encode_event,
     read_journal,
 )
@@ -152,10 +155,14 @@ class TestBatchCache:
     def _fingerprint(event):
         # == is type-blind across numerics (1 == True == 1.0), so the
         # round-trip must be checked on types, not just equality.
+        # repr separates the zeros (``0.0 == -0.0``).
         return (
-            [type(a) for a in event.args],
-            type(event.retval),
-            [(type(k), type(v)) for k, v in event.scope.items()],
+            [(type(a), repr(a)) for a in event.args],
+            (type(event.retval), repr(event.retval)),
+            [
+                (type(k), repr(k), type(v), repr(v))
+                for k, v in event.scope.items()
+            ],
         )
 
     def _batch_round_trip(self, events):
@@ -198,6 +205,167 @@ class TestBatchCache:
                 assertion_site_event("a", {1: "x"}),
             ]
         )
+
+    def test_signed_zero_in_retval(self):
+        # 0.0 == -0.0 with the same type and hash: a cached 0.0 must not
+        # stand in for a later -0.0 (nor the other way round).
+        self._batch_round_trip(
+            [return_event("f", (), 0.0), return_event("f", (), -0.0)]
+        )
+        self._batch_round_trip(
+            [return_event("f", (), -0.0), return_event("f", (), 0.0)]
+        )
+
+    def test_signed_zero_in_args(self):
+        self._batch_round_trip(
+            [
+                return_event("f", (0.0, "c"), None),
+                return_event("f", (-0.0, "c"), None),
+                return_event("f", (0, "c"), None),
+                return_event("f", (-0.0, "c"), None),
+            ]
+        )
+
+    def test_signed_zero_in_scope(self):
+        self._batch_round_trip(
+            [
+                assertion_site_event("a", {"v": 0.0}),
+                assertion_site_event("a", {"v": -0.0}),
+            ]
+        )
+        self._batch_round_trip(
+            [
+                assertion_site_event("a", {0.0: "x"}),
+                assertion_site_event("a", {-0.0: "x"}),
+            ]
+        )
+
+
+class _Token:
+    """A live object with no exact encoding: journalled as Opaque."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __repr__(self):
+        return f"<token {self.n}>"
+
+
+_edge_scalars = st.one_of(
+    _scalars,
+    st.floats(),  # NaN and infinities included
+    st.sampled_from([0.0, -0.0, float("nan"), 2**80, -(2**80), "sø∂ ✓"]),
+    st.text(
+        alphabet=st.characters(min_codepoint=0x80, blacklist_categories=("Cs",)),
+        max_size=8,
+    ),
+)
+
+_any_values = st.recursive(
+    st.one_of(_edge_scalars, st.builds(_Token, st.integers(0, 9))),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_edge_scalars, children, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+_any_events = st.builds(
+    RuntimeEvent,
+    kind=st.sampled_from(list(EventKind)),
+    name=st.text(max_size=12),
+    args=st.lists(_any_values, max_size=4).map(tuple),
+    retval=_any_values,
+    target=_any_values,
+    scope=st.dictionaries(st.text(max_size=6), _any_values, max_size=3),
+    thread_id=st.integers(min_value=-(2**62), max_value=2**62),
+    stack=st.lists(st.text(max_size=6), max_size=2).map(tuple),
+    timestamp=st.floats(),
+)
+
+
+def _uvarint(value):
+    out = bytearray()
+    while value >= 0x80:
+        out.append((value & 0x7F) | 0x80)
+        value >>= 7
+    out.append(value)
+    return bytes(out)
+
+
+def _canon(value):
+    """A comparable form: floats by bit pattern (NaN, -0.0), types kept,
+    live objects as the Opaque snapshot the journal keeps of them."""
+    cls = type(value)
+    if cls is float:
+        return (float, struct.pack("<d", value))
+    if cls is _Token:
+        return (Opaque, repr(value))
+    if cls is Opaque:
+        return (Opaque, value.text)
+    if cls in (tuple, list):
+        return (cls, tuple(_canon(item) for item in value))
+    if cls is dict:
+        return (dict, tuple((_canon(k), _canon(v)) for k, v in value.items()))
+    return (cls, value)
+
+
+def _canon_event(event):
+    return tuple(
+        _canon(getattr(event, name))
+        for name in (
+            "kind", "name", "args", "retval", "op", "target", "scope",
+            "thread_id", "stack", "timestamp",
+        )
+    )
+
+
+def _opaque_leaves(value):
+    if type(value) is _Token:
+        return 1
+    if type(value) in (tuple, list):
+        return sum(map(_opaque_leaves, value))
+    if type(value) is dict:
+        return sum(_opaque_leaves(k) + _opaque_leaves(v) for k, v in value.items())
+    return 0
+
+
+class TestOneEncoder:
+    """``E`` records and batch records share one event encoder."""
+
+    @given(seqno=st.integers(min_value=0, max_value=2**40), event=_any_events)
+    @settings(max_examples=200, deadline=None)
+    def test_event_and_batch_records_carry_the_same_inner_bytes(
+        self, seqno, event
+    ):
+        e_body, e_opaque = encode_event(seqno, event)
+        seq = _uvarint(seqno)
+        assert e_body[: 1 + len(seq)] == b"E" + seq
+        inner, stamp = e_body[1 + len(seq) : -8], e_body[-8:]
+        # The same event twice in one batch: the second occurrence may
+        # come off a warm blob cache, and must not differ.
+        frame, count, records, b_opaque = encode_batch(
+            [(seqno, event), (seqno + 1, event)]
+        )
+        assert (count, records) == (2, 1)
+        b_body = frame[4:-4]
+        assert b_body == b"B\x02" + seq + inner + stamp + inner + stamp
+        expected_opaque = (
+            sum(map(_opaque_leaves, event.args))
+            + _opaque_leaves(event.retval)
+            + _opaque_leaves(event.target)
+            + sum(_opaque_leaves(v) for v in event.scope.values())
+        )
+        assert e_opaque == expected_opaque
+        assert b_opaque == 2 * expected_opaque
+        got_seqno, from_e = decode_event(e_body)
+        (s0, from_b), (s1, again) = decode_batch(b_body)
+        assert (got_seqno, s0, s1) == (seqno, seqno, seqno + 1)
+        want = _canon_event(event)
+        assert _canon_event(from_e) == want
+        assert _canon_event(from_b) == want
+        assert _canon_event(again) == want
 
 
 # -- ordering ------------------------------------------------------------------
