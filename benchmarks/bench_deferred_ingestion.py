@@ -13,6 +13,11 @@ This bench pins down the three numbers that trade-off is made of:
   (enqueue only, no sync keys in the loop) vs the same events dispatched
   synchronously on the lazy/sharded/compiled runtime.  The acceptance
   bar: enqueue ≥ 2× faster than synchronous dispatch.
+* **manual producer cost** — the same loop on a default
+  ``deferred="manual"`` runtime, where the producer also runs a drain
+  pass each time its ring holds ``_MANUAL_BATCH`` events: what a
+  deterministic-mode thread really pays per event with evaluation
+  batched rather than avoided.
 * **drain throughput** — events/s through a flush of a large backlog,
   i.e. the rate the evaluation side must sustain to keep up.
 * **flush latency at a sync point** — what an assertion site *pays* for
@@ -47,6 +52,7 @@ from repro.core.events import (
     call_event,
     return_event,
 )
+from repro.runtime import drain as drain_module
 from repro.runtime.manager import TeslaRuntime
 from repro.runtime.notify import LogAndContinue
 
@@ -109,20 +115,25 @@ def _full_trace():
     return events
 
 
-def test_deferred_ingestion(benchmark, results_dir):
+def test_deferred_ingestion(benchmark, results_dir, monkeypatch):
     body = _body_events(N_EVENTS)
 
     # -- capture cost: enqueue vs synchronous dispatch --------------------
-    # Ring capacity holds every repeat's events so the timed loop never
-    # takes the inline-flush slow path; the backlog is flushed (untimed)
-    # after each measurement block.
+    # For the capture and backlog measurements, the ring capacity and the
+    # manual-mode batch threshold both hold every repeat's events, so the
+    # timed loop never takes the inline-flush or batch-drain path; the
+    # backlog is flushed (untimed) after each measurement block.  The
+    # manual-producer row keeps the default threshold.
+    backlog_capacity = N_EVENTS * (REPEATS + 2)
     sync_runtime = _runtime()
     deferred_runtime = _runtime(
-        deferred="manual", ring_capacity=N_EVENTS * (REPEATS + 2)
+        deferred="manual", ring_capacity=backlog_capacity
     )
-    for runtime in (sync_runtime, deferred_runtime):
+    producer_runtime = _runtime(deferred="manual")
+    for runtime in (sync_runtime, deferred_runtime, producer_runtime):
         runtime.handle_event(call_event(BOUND, ()))
     deferred_runtime.flush_deferred()
+    producer_runtime.flush_deferred()
 
     def sync_loop():
         handle = sync_runtime.handle_event
@@ -134,8 +145,12 @@ def test_deferred_ingestion(benchmark, results_dir):
         for event in body:
             handle(event)
 
-    def measure():
-        sync_us = median_time(sync_loop, repeats=REPEATS) * 1e6 / N_EVENTS
+    def producer_loop():
+        handle = producer_runtime.handle_event
+        for event in body:
+            handle(event)
+
+    def backlog_measures():
         enqueue_us = (
             median_time(enqueue_loop, repeats=REPEATS) * 1e6 / N_EVENTS
         )
@@ -165,13 +180,24 @@ def test_deferred_ingestion(benchmark, results_dir):
 
         empty_us = site_latency(0)
         backlog_us = site_latency(BACKLOG)
-        return sync_us, enqueue_us, drain_rate, empty_us, backlog_us
+        return enqueue_us, drain_rate, empty_us, backlog_us
 
-    sync_us, enqueue_us, drain_rate, empty_us, backlog_us = (
+    def measure():
+        sync_us = median_time(sync_loop, repeats=REPEATS) * 1e6 / N_EVENTS
+        producer_us = (
+            median_time(producer_loop, repeats=REPEATS) * 1e6 / N_EVENTS
+        )
+        with monkeypatch.context() as patch:
+            patch.setattr(drain_module, "_MANUAL_BATCH", backlog_capacity)
+            return (sync_us, producer_us) + backlog_measures()
+
+    sync_us, producer_us, enqueue_us, drain_rate, empty_us, backlog_us = (
         benchmark.pedantic(measure, rounds=1, iterations=1)
     )
     speedup = sync_us / enqueue_us
     stats = deferred_runtime.drain.stats()
+    producer_runtime.flush_deferred()
+    producer_stats = producer_runtime.drain.stats()
 
     lines = [
         "Deferred ingestion: ring-buffer capture vs synchronous dispatch",
@@ -179,6 +205,8 @@ def test_deferred_ingestion(benchmark, results_dir):
         f"{'sync dispatch':<28}{sync_us:>10.3f} us/event",
         f"{'deferred enqueue':<28}{enqueue_us:>10.3f} us/event",
         f"{'capture speedup':<28}{speedup:>10.2f} x",
+        f"{'manual producer':<28}{producer_us:>10.3f} us/event",
+        f"{'manual producer speedup':<28}{sync_us / producer_us:>10.2f} x",
         f"{'drain throughput':<28}{drain_rate:>10.0f} events/s",
         f"{'site flush, empty queue':<28}{empty_us:>10.1f} us",
         f"{f'site flush, {BACKLOG}-backlog':<28}{backlog_us:>10.1f} us",
@@ -187,8 +215,11 @@ def test_deferred_ingestion(benchmark, results_dir):
     emit(results_dir, "deferred_ingestion", "\n".join(lines))
 
     # Accounting: the rings never dropped anything.
-    assert stats["events_lost_to_faults"] == 0
-    assert stats["events_enqueued"] == stats["events_drained"]
+    for counts in (stats, producer_stats):
+        assert counts["events_lost_to_faults"] == 0
+        assert counts["events_enqueued"] == counts["events_drained"]
+    # The manual producer drained in batches, never a whole backlog.
+    assert producer_stats["max_batch"] <= drain_module._MANUAL_BATCH
     if not SMOKE:
         # The tentpole's acceptance bar: capture must be at least twice
         # as cheap as evaluating inline.

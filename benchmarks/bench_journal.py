@@ -6,9 +6,11 @@ only worth taking if recording is nearly free relative to the deferred
 pipeline it rides on, so this bench pins three numbers:
 
 * **record overhead** — µs/event for capture+drain with a journal
-  installed vs the identical deferred runtime without one.  Acceptance
-  bar: ≤ 1.15× (the encode+append must hide inside the drain's existing
-  merge/dispatch work).
+  installed vs the identical deferred runtime without one, taken as the
+  median of the per-pair ratios over interleaved journal/plain pairs
+  (at least :data:`MIN_PAIRS`), so one lucky or unlucky sample cannot
+  decide it.  Acceptance bar: ≤ 1.15× (the encode+append must hide
+  inside the drain's existing merge/dispatch work).
 * **replay throughput** — events/s for ``read_journal`` +
   ``ReplayEngine.run("naive")`` over the recorded file: the offline
   debugging loop's latency.
@@ -25,6 +27,7 @@ assertion.
 from __future__ import annotations
 
 import os
+import statistics
 import time
 
 from repro.bench import median_time
@@ -47,11 +50,13 @@ from repro.runtime.journal import read_journal
 from repro.runtime.manager import TeslaRuntime
 from repro.runtime.notify import LogAndContinue
 
-from conftest import emit, interleaved_best
+from conftest import emit, interleaved_samples
 
 SMOKE = os.environ.get("TESLA_BENCH_SMOKE") == "1"
 N_EVENTS = 400 if SMOKE else 20_000
 REPEATS = 1 if SMOKE else 31
+#: Fewest interleaved journal/plain pairs the overhead bar may rest on.
+MIN_PAIRS = 5
 N_CLASSES = 4
 BOUND = "jr_syscall"
 OVERHEAD_BAR = 1.15
@@ -142,22 +147,26 @@ def test_journal_record_and_replay(benchmark, results_dir, tmp_path):
             journal_path["last"] = path
             return runtime
 
-        # Interleaved GC-controlled min-of-samples (see conftest): the
-        # journal side allocates ~40 bytes/event of record frames, so
-        # sequential blocks would let collector pauses and clock drift
-        # land disproportionately on the side under test.  Each sample
-        # times the second of two back-to-back runs (median_time's
-        # repeats=1 warms once untimed): the bar pins the steady-state
+        # Interleaved GC-controlled pairs (see conftest): the journal
+        # side allocates ~40 bytes/event of record frames, so sequential
+        # blocks would let collector pauses and clock drift land
+        # disproportionately on the side under test.  Each sample times
+        # the second of two back-to-back runs (median_time's repeats=1
+        # warms once untimed): the bar pins the steady-state
         # encode+append cost, not per-run setup like file creation.
-        best = interleaved_best(
+        samples = interleaved_samples(
             {
                 "plain": lambda: median_time(plain_run, repeats=1),
                 "journal": lambda: median_time(journal_run, repeats=1),
             },
             repeats=REPEATS,
         )
-        plain_us = best["plain"] * 1e6 / len(trace)
-        journal_us = best["journal"] * 1e6 / len(trace)
+        ratios = [
+            journal / plain
+            for plain, journal in zip(samples["plain"], samples["journal"])
+        ]
+        plain_us = statistics.median(samples["plain"]) * 1e6 / len(trace)
+        journal_us = statistics.median(samples["journal"]) * 1e6 / len(trace)
         path = journal_path["last"]
 
         # -- replay throughput --------------------------------------------
@@ -170,12 +179,12 @@ def test_journal_record_and_replay(benchmark, results_dir, tmp_path):
         replay_rate = len(journal.slots) / sorted(replay_samples)[
             len(replay_samples) // 2
         ]
-        return plain_us, journal_us, path, journal, replay_rate
+        return plain_us, journal_us, ratios, path, journal, replay_rate
 
-    plain_us, journal_us, path, journal, replay_rate = benchmark.pedantic(
-        measure, rounds=1, iterations=1
+    plain_us, journal_us, ratios, path, journal, replay_rate = (
+        benchmark.pedantic(measure, rounds=1, iterations=1)
     )
-    overhead = journal_us / plain_us
+    overhead = statistics.median(ratios)
     density = journal.byte_size / max(1, len(journal.slots))
 
     # -- correctness in the same run: record → replay → oracle agree ------
@@ -201,6 +210,9 @@ def test_journal_record_and_replay(benchmark, results_dir, tmp_path):
         f"{'plain deferred capture':<28}{plain_us:>10.3f} us/event",
         f"{'journalled capture':<28}{journal_us:>10.3f} us/event",
         f"{'record overhead':<28}{overhead:>10.3f} x",
+        f"{'record overhead min':<28}{min(ratios):>10.3f} x",
+        f"{'record overhead max':<28}{max(ratios):>10.3f} x",
+        f"{'interleaved pairs':<28}{len(ratios):>10d}",
         f"{'replay throughput':<28}{replay_rate:>10.0f} events/s",
         f"{'journal density':<28}{density:>10.1f} bytes/event",
         f"{'journal size':<28}{journal.byte_size:>10d} bytes",
@@ -211,9 +223,10 @@ def test_journal_record_and_replay(benchmark, results_dir, tmp_path):
     assert journal.clean_close
     assert len(journal.slots) == len(_trace(N_EVENTS))
     if not SMOKE:
-        # The satellite's acceptance bar: recording must hide inside the
-        # drain's existing work.
+        # The acceptance bar: recording must hide inside the drain's
+        # existing work, judged on the median pair.
+        assert len(ratios) >= MIN_PAIRS, len(ratios)
         assert overhead <= OVERHEAD_BAR, (
-            f"journal record overhead {overhead:.3f}x exceeds "
-            f"{OVERHEAD_BAR}x bar"
+            f"journal record overhead {overhead:.3f}x (median of "
+            f"{len(ratios)} pairs) exceeds {OVERHEAD_BAR}x bar"
         )

@@ -48,6 +48,30 @@ def results_dir() -> pathlib.Path:
     return RESULTS_DIR
 
 
+def interleaved_samples(samplers, repeats: int, warmup: int = 1) -> dict:
+    """Every sample of :func:`interleaved_best`, in round order.
+
+    Returns ``{label: [seconds, ...]}``; index ``i`` of every list comes
+    from the same interleaved round, so zipping two labels gives adjacent
+    pairs for a per-pair ratio.
+    """
+    import gc
+
+    items = list(samplers.items())
+    for _ in range(warmup):
+        for _, sample in items:
+            sample()
+    samples: dict = {label: [] for label, _ in items}
+    gc.disable()
+    try:
+        for _ in range(repeats):
+            for label, sample in items:
+                samples[label].append(sample())
+    finally:
+        gc.enable()
+    return samples
+
+
 def interleaved_best(samplers, repeats: int, warmup: int = 1) -> dict:
     """GC-controlled, interleaved min-of-samples timing for ratio benches.
 
@@ -68,20 +92,7 @@ def interleaved_best(samplers, repeats: int, warmup: int = 1) -> dict:
     Each sampler runs ``warmup`` times untimed first.  Returns
     ``{label: best_seconds}``.
     """
-    import gc
-
-    items = list(samplers.items())
-    for _ in range(warmup):
-        for _, sample in items:
-            sample()
-    samples: dict = {label: [] for label, _ in items}
-    gc.disable()
-    try:
-        for _ in range(repeats):
-            for label, sample in items:
-                samples[label].append(sample())
-    finally:
-        gc.enable()
+    samples = interleaved_samples(samplers, repeats, warmup)
     return {label: min(values) for label, values in samples.items()}
 
 
@@ -90,12 +101,17 @@ def emit(results_dir: pathlib.Path, name: str, text: str) -> None:
 
     Alongside the human-readable table, any ``label  <number>[ unit]``
     rows are also captured into ``<name>.json`` so downstream plotting can
-    consume the figures without re-parsing the text.
+    consume the figures without re-parsing the text.  Smoke runs
+    (``TESLA_BENCH_SMOKE=1``) only print: their shrunken counts must
+    never overwrite a committed full-mode result.
     """
     import json
+    import os
     import re
 
     print("\n" + text)
+    if os.environ.get("TESLA_BENCH_SMOKE") == "1":
+        return
     (results_dir / f"{name}.txt").write_text(text + "\n")
     rows = {}
     for line in text.splitlines():

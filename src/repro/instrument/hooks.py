@@ -19,8 +19,10 @@ When the runtime behind a sink runs the deferred pipeline (DESIGN §5.4),
 ``sink(event)`` *is* the enqueue fast path: the interest filter and the
 translator's static checks run here as usual, and everything that
 survives them is stamped into the calling thread's ring instead of being
-dispatched inline.  Assertion-site events are synchronization points, so
-a ``tesla_site`` call flushes the rings and a fail-stop
+dispatched inline.  Assertion sites of drain-evaluated classes (GLOBAL,
+or thread-local with a deadline) are synchronization points, so such a
+``tesla_site`` call flushes the rings; other thread-local classes are
+evaluated inline at capture.  Either way a fail-stop
 :class:`~repro.errors.TemporalAssertionError` raises through the same
 re-raise branch synchronous dispatch uses — instrumented code cannot
 tell the modes apart by where violations surface.  Faults injected at

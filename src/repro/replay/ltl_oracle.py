@@ -324,18 +324,26 @@ class _TimeCtx:
 
     ``entry_ts`` is the bound-entry capture stamp (what ``since_entry``
     guards measure from; the runtime's ``instance.entry_ts``).
-    ``ceiling`` — set during post-site matching of an assertion with a
-    deadline — is the absolute stamp past which *no* event can be
+    ``deadline_s`` — set during post-site matching of an assertion with a
+    deadline — is the budget since entry past which *no* event can be
     consumed: it mirrors the runtime's pre-event expiry, which prunes an
-    undischarged instance before it can step on anything later than
-    ``entry + deadline``.
+    undischarged instance before it can step on any :func:`_overdue`
+    event.
     """
 
     entry_ts: float = 0.0
-    ceiling: Optional[float] = None
+    deadline_s: Optional[float] = None
 
 
 _UNTIMED = _TimeCtx()
+
+
+def _overdue(ts: float, entry_ts: float, deadline_s: float) -> bool:
+    """Is a stamp past the deadline?  The runtime's exact float form
+    (``now - entry_ts > deadline``, see ``expire_deadlines``): the
+    equivalent-looking ``ts > entry_ts + deadline_s`` rounds differently
+    and disagrees on a stamp that sits on the boundary."""
+    return ts - entry_ts > deadline_s
 
 
 def _time_ok(
@@ -349,7 +357,9 @@ def _time_ok(
                 return False
         elif ts - ctx.entry_ts > guard.limit_s:
             return False
-    if ctx.ceiling is not None and ts > ctx.ceiling:
+    if ctx.deadline_s is not None and _overdue(
+        ts, ctx.entry_ts, ctx.deadline_s
+    ):
         return False
     return True
 
@@ -428,7 +438,7 @@ def _match_one(
         # window (:func:`_rate_violations`).
         yield lo, binding
     elif isinstance(part, (FunctionCall, FunctionReturn, FieldAssign)):
-        timed = guard is not None or ctx.ceiling is not None
+        timed = guard is not None or ctx.deadline_s is not None
         prev_ts = (
             (events[lo - 1][1].timestamp if lo > 0 else ctx.entry_ts)
             if timed
@@ -467,7 +477,7 @@ def _match_atleast(
     if minimum <= 0:
         yield lo, binding
         return
-    timed = guard is not None or ctx.ceiling is not None
+    timed = guard is not None or ctx.deadline_s is not None
     prev_ts = (
         (events[lo - 1][1].timestamp if lo > 0 else ctx.entry_ts)
         if timed
@@ -590,13 +600,13 @@ def _decompose(assertion: TemporalAssertion) -> _Spec:
 
 
 def _expiry_seqno(
-    window: List[Slot], position: int, boundary: float, fallback: int
+    window: List[Slot], position: int, ctx: _TimeCtx, fallback: int
 ) -> int:
     """Where the runtime would report an expiry: the first event after
-    the obligation whose stamp is past the boundary (pre-event check),
-    else *fallback* (the close/flush point)."""
+    the obligation whose stamp is overdue (pre-event check), else
+    *fallback* (the close/flush point)."""
     for k in range(position + 1, len(window)):
-        if window[k][1].timestamp > boundary:
+        if _overdue(window[k][1].timestamp, ctx.entry_ts, ctx.deadline_s):
             return window[k][0]
     return fallback
 
@@ -674,11 +684,9 @@ def _eval_window(
 ) -> None:
     """Close one bound: discharge every satisfied site's obligations."""
     assertion = spec.assertion
-    boundary = (
-        entry_ts + spec.deadline_s if spec.deadline_s is not None else None
-    )
+    deadline_s = spec.deadline_s
     ctx = (
-        _TimeCtx(entry_ts, boundary) if spec.timed else _UNTIMED
+        _TimeCtx(entry_ts, deadline_s) if spec.timed else _UNTIMED
     )
     for obligation in obligations:
         if not spec.post:
@@ -694,7 +702,9 @@ def _eval_window(
                 "linear reading cannot mirror the runtime's wildcard "
                 "semantics for it"
             )
-        elif boundary is not None and close_ts > boundary:
+        elif deadline_s is not None and _overdue(
+            close_ts, entry_ts, deadline_s
+        ):
             # The runtime's cleanup handler expires overdue timers
             # before judging the remaining instances, so a bound that
             # closed past the deadline reports the expiry, not a
@@ -702,7 +712,7 @@ def _eval_window(
             verdict.violations.append(
                 OracleViolation(
                     _expiry_seqno(
-                        window, obligation.position, boundary, close_seqno
+                        window, obligation.position, ctx, close_seqno
                     ),
                     "deadline",
                 )
@@ -732,11 +742,9 @@ def _eval_open_window(
     windows have already seen their events, so those verdicts surface
     here, judged at the trace's last capture stamp.
     """
-    boundary = (
-        entry_ts + spec.deadline_s if spec.deadline_s is not None else None
-    )
-    ctx = _TimeCtx(entry_ts, boundary)
-    if boundary is not None and flush_ts > boundary:
+    deadline_s = spec.deadline_s
+    ctx = _TimeCtx(entry_ts, deadline_s)
+    if deadline_s is not None and _overdue(flush_ts, entry_ts, deadline_s):
         for obligation in obligations:
             if spec.post:
                 accepted, _ = _discharge(spec, window, obligation, ctx)
@@ -745,7 +753,7 @@ def _eval_open_window(
                 verdict.violations.append(
                     OracleViolation(
                         _expiry_seqno(
-                            window, obligation.position, boundary, flush_seqno
+                            window, obligation.position, ctx, flush_seqno
                         ),
                         "deadline",
                     )
@@ -803,16 +811,14 @@ def _eval_trace(
                 for name, value in event.scope.items()
                 if name in variables
             }
-            if (
-                spec.deadline_s is not None
-                and event.timestamp > entry_ts + spec.deadline_s
+            if spec.deadline_s is not None and _overdue(
+                event.timestamp, entry_ts, spec.deadline_s
             ):
                 # Pre-event expiry: the runtime sweeps overdue timers at
                 # the top of every dispatch, so by the time this site is
-                # processed any undischarged obligation past the boundary
+                # processed any undischarged obligation past the deadline
                 # has already been reported and its instance pruned.
-                boundary = entry_ts + spec.deadline_s
-                expiry_ctx = _TimeCtx(entry_ts, boundary)
+                expiry_ctx = _TimeCtx(entry_ts, spec.deadline_s)
                 survivors: List[_Obligation] = []
                 for obligation in obligations:
                     accepted, _ = _discharge(
@@ -824,7 +830,7 @@ def _eval_trace(
                         verdict.violations.append(
                             OracleViolation(
                                 _expiry_seqno(
-                                    window, obligation.position, boundary,
+                                    window, obligation.position, expiry_ctx,
                                     seqno,
                                 ),
                                 "deadline",

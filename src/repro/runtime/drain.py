@@ -15,21 +15,33 @@ Two drain modes:
   (``tesla-drainer``) wakes on a short interval — or immediately when a
   producer's ring crosses half full — and drains continuously, keeping
   queue depths shallow while application threads never pay dispatch.
-* **deterministic** (``deferred="manual"``): no thread; events drain only
-  at explicit :meth:`drain`/:meth:`flush` calls and at synchronization
-  points, so tests replay byte-identical schedules.
+* **deterministic** (``deferred="manual"``): no thread; events drain at
+  explicit :meth:`drain`/:meth:`flush` calls, at synchronization points,
+  and whenever a producer's ring holds :data:`_MANUAL_BATCH` slots (one
+  pass, run by that producer), so tests replay byte-identical schedules
+  and the rings stay shallow.
 
 **Synchronization points.**  Evaluation may lag capture only where the
-paper's semantics cannot observe the lag.  Events that can themselves
-produce a verdict — assertion sites, ``NOW``-bound entry/exit, events
-referenced by ``strict`` automata — plus introspection reads
-(``health_report``/``coverage_report``/…) and runtime teardown must see a
-fully evaluated store, so each forces :meth:`flush`: a rendezvous that
-drains *every* thread's ring (not just the caller's) to empty before
-proceeding.  A :class:`~repro.errors.TemporalAssertionError` raised while
-draining on the application thread therefore surfaces exactly where the
-synchronous runtime would have raised it; one raised on the background
-drainer is parked and re-raised at the next synchronization point.
+paper's semantics cannot observe the lag.  Only verdicts the *drain*
+produces can lag: those of GLOBAL-context classes, plus the expiry of a
+``deadline`` that no successor event discharges, which only the flush's
+timer check notices.  So the synchronization points are the keys that can
+produce such a verdict — assertion sites, ``NOW``-bound entry/exit and
+events referenced by ``strict`` automata, of every GLOBAL class and of
+every thread-local class carrying a ``deadline``.  Other thread-local
+(``tesla_perthread``/``tesla_within``) classes are evaluated inline at
+capture on their own thread, so their keys ride the ring only for the
+journal and never force a flush.  Introspection reads
+(``health_report``/``coverage_report``/…) and runtime teardown must also
+see a fully evaluated store.  Each of these forces :meth:`flush`: a
+rendezvous that drains *every* thread's ring (not just the caller's) to
+empty before proceeding.  A :class:`~repro.errors.TemporalAssertionError`
+raised while draining on the application thread therefore surfaces
+exactly where the synchronous runtime would have raised it; one raised on
+the background drainer is parked and re-raised at the next
+synchronization point.  A thread-local violation raised inline also
+flushes before it propagates, so the journal holds the violating event
+and everything captured before it.
 
 **Backpressure.**  A full ring never drops.  ``overflow_policy="flush"``
 (default) turns the producer into the drainer for one pass — an inline
@@ -69,6 +81,13 @@ _FP_TIMER = fault_site("drain.timer")
 DRAINER_THREAD_NAME = "tesla-drainer"
 
 OVERFLOW_POLICIES = ("flush", "block")
+
+#: Ring depth at which a ``deferred="manual"`` producer runs one drain
+#: pass itself — the deterministic counterpart of the background
+#: drainer's half-full wake-up.  Small against the ring's capacity so a
+#: run between synchronization points keeps few events (and their memory)
+#: pending, large enough that a pass amortises its fixed cost.
+_MANUAL_BATCH = 256
 
 
 def _slot_seqno(slot: Slot) -> int:
@@ -179,8 +198,11 @@ class DrainController:
             self._overflow(ring)
         ring.append(self._seqnos.next(), event)
         self.events_enqueued += 1
-        if self.background and (ring.head - ring.tail) * 2 >= ring.capacity:
-            self._wake.set()
+        if self.background:
+            if (ring.head - ring.tail) * 2 >= ring.capacity:
+                self._wake.set()
+        elif ring.head - ring.tail >= _MANUAL_BATCH:
+            self._drain_pass()
 
     def _overflow(self, ring: EventRing) -> None:
         """Backpressure on a full ring: block for the drainer or become

@@ -336,8 +336,8 @@ class TeslaRuntime:
         #: Deferred pipeline (DESIGN §5.4).  ``deferred=False`` keeps the
         #: paper's synchronous hot path; ``True`` captures events into
         #: per-thread rings drained by a background thread; ``"manual"``
-        #: defers with no thread (tests drive ``drain()``/``flush``
-        #: explicitly for deterministic schedules).
+        #: defers with no thread (explicit ``drain()``/``flush`` calls and
+        #: producer-run batch drains give deterministic schedules).
         self.deferred = deferred
         #: Durable trace journal (DESIGN §5.6): a path, binary file-like
         #: or prebuilt :class:`~repro.runtime.journal.JournalWriter`; the
@@ -364,12 +364,16 @@ class TeslaRuntime:
             if deferred
             else None
         )
-        #: Dispatch keys whose events may themselves produce a verdict —
-        #: bound entry/exit, assertion sites, and any event a ``strict``
-        #: automaton references.  In deferred mode these are the
-        #: synchronization points: capturing one forces a flush so
-        #: violations are raised exactly where synchronous dispatch would
-        #: raise them.
+        #: Dispatch keys whose events may make the *drain* produce a
+        #: verdict — bound entry/exit, assertion sites, and any event a
+        #: ``strict`` automaton references — of GLOBAL classes and of
+        #: thread-local classes with a ``deadline`` (only the flush's timer
+        #: check expires an obligation no successor event discharges).  In
+        #: deferred mode these are the synchronization points: capturing
+        #: one forces a flush so violations are raised exactly where
+        #: synchronous dispatch would raise them.  Other thread-local
+        #: classes reach their verdicts inline at capture, so their keys
+        #: never force a flush.
         self._sync_keys: frozenset = frozenset()
         #: Keys observed by a thread-local (perthread) automaton.  Their
         #: local share is always evaluated inline on the capturing thread
@@ -574,6 +578,12 @@ class TeslaRuntime:
         local = set()
         for name, automaton in self.automata.items():
             keys = _dispatch_keys_of(automaton)
+            if self.contexts[name] is not Context.GLOBAL:
+                local |= keys["init"]
+                local |= keys["cleanup"]
+                local |= keys["body"]
+                if automaton.deadline_s is None:
+                    continue
             sync |= keys["init"]
             sync |= keys["cleanup"]
             for key in keys["body"]:
@@ -583,10 +593,6 @@ class TeslaRuntime:
                 # A strict automaton can raise on any referenced body
                 # event it cannot consume, so each is a sync point.
                 sync |= keys["body"]
-            if self.contexts[name] is not Context.GLOBAL:
-                local |= keys["init"]
-                local |= keys["cleanup"]
-                local |= keys["body"]
         self._sync_keys = frozenset(sync)
         self._local_keys = frozenset(local)
 
@@ -708,7 +714,7 @@ class TeslaRuntime:
 
         In deferred mode this is the *capture* path: the event is stamped
         and appended to the calling thread's ring (thread-local automata
-        are still evaluated inline — see ``_local_keys``), and only a
+        are then evaluated inline — see ``_local_keys``), and only a
         synchronization-point key forces evaluation before returning.
         """
         if self.stamp_capture:
@@ -721,12 +727,20 @@ class TeslaRuntime:
         elif event.timestamp > self._max_event_ts:
             self._max_event_ts = event.timestamp
         if self.drain is not None:
+            drain = self.drain
             key = (event.kind, event.name)
+            # Capture before the inline evaluation: a thread-local
+            # violation then flushes the event that caused it, and
+            # everything before it, into the journal before propagating.
+            drain.enqueue(event)
             if key in self._local_keys:
-                self._dispatch_local(event, key)
-            self.drain.enqueue(event)
+                try:
+                    self._dispatch_local(event, key)
+                except TemporalAssertionError:
+                    drain.flush(sync=True)
+                    raise
             if key in self._sync_keys:
-                self.drain.flush(sync=True)
+                drain.flush(sync=True)
             return
         self.events_processed += 1
         self.supervisor.begin_dispatch()
@@ -746,11 +760,11 @@ class TeslaRuntime:
     def _dispatch_local(self, event: RuntimeEvent, key: DispatchKey) -> None:
         """Evaluate one event's thread-local share inline (deferred mode).
 
-        Per-thread automata never ride the rings: their state lives in the
-        capturing thread's store and their event order *is* that thread's
-        program order, so inline evaluation is both required and already
-        verdict-exact.  The drain side skips local work
-        (``include_local=False``) so nothing runs twice.
+        Per-thread automata are never evaluated from the rings: their
+        state lives in the capturing thread's store and their event order
+        *is* that thread's program order, so inline evaluation is both
+        required and already verdict-exact.  The drain side skips local
+        work (``include_local=False``) so nothing runs twice.
         """
         plan = self._plan_for(key)
         if plan.local is not None:

@@ -72,9 +72,9 @@ def monitoring(
 
     ``deferred`` moves evaluation off the instrumented threads (DESIGN
     §5.4): ``True`` captures events into per-thread ring buffers drained
-    by a background thread, ``"manual"`` defers with explicit
-    ``runtime.drain.drain()``/``flush_deferred()`` calls (deterministic,
-    for tests).  ``overflow_policy`` picks the ring-full backpressure:
+    by a background thread, ``"manual"`` defers with no thread, draining
+    at explicit ``runtime.drain.drain()``/``flush_deferred()`` calls and
+    in 256-event batches run by the producer (deterministic, for tests).  ``overflow_policy`` picks the ring-full backpressure:
     ``"flush"`` (inline flush by the producer, the default) or
     ``"block"`` (park the producer for the background drainer);
     ``ring_capacity`` sizes each thread's preallocated ring and

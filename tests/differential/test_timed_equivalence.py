@@ -35,7 +35,7 @@ from __future__ import annotations
 import io
 from typing import Dict, List, Tuple
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.dsl import (
@@ -272,12 +272,27 @@ def test_all_timed_modes_agree(scenario):
         )
 
 
+_BOUNDARY_STEPS = [
+    (("enter",), 0.004),
+    (("enter",), 0.0),
+    (("enter",), 0.001),
+    (("site", 0), 0.004),
+]
+
+
 @settings(
     max_examples=30,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(timed_scenarios())
+# The site sits on the deadline, after two re-entries of the open bound
+# (which keep the first entry stamp).  In floats, entry + deadline equals
+# the site's stamp, yet site - entry exceeds the deadline: the runtime's
+# ``now - entry > deadline`` expires the obligation.  The LTL oracle once
+# compared ``now > entry + deadline`` and missed the expiry.
+@example(((("deadline", 5.0),), _BOUNDARY_STEPS, 0.0, False))
+@example(((("deadline", 5.0),), _BOUNDARY_STEPS, 0.0, True))
 def test_timed_journal_replays_to_live_verdicts(scenario):
     """Record → replay → oracle, timed: the journalled capture stamps
     round-trip byte-exactly and are sufficient evidence to reproduce the

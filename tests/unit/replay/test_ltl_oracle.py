@@ -15,6 +15,7 @@ import pytest
 from repro.core.dsl import (
     ANY,
     call,
+    deadline,
     eventually,
     fn,
     incallstack,
@@ -23,6 +24,7 @@ from repro.core.dsl import (
     strictly,
     tesla_global,
     tesla_perthread,
+    tesla_within,
     var,
 )
 from repro.core.events import (
@@ -34,6 +36,7 @@ from repro.core.events import (
 )
 from repro.replay import LTLUnsupported, RUNTIME_REASONS, ltl_verdict
 from repro.replay.ltl_oracle import split_at_site
+from repro.runtime.clock import FakeClock
 from repro.runtime.manager import TeslaRuntime
 from repro.runtime.notify import LogAndContinue
 
@@ -245,6 +248,78 @@ class TestEventually:
             ],
         )
         assert verdict.kinds == ["cleanup"]
+
+
+def deadline_assertion(ms=5.0, name="ltl.deadline"):
+    """``eventually(deadline(ms, done))`` inside a perthread bound."""
+    return tesla_within(
+        "ltl_bound",
+        eventually(deadline(ms, call("ltl_done"))),
+        name=name,
+    )
+
+
+def stamped(event, ts):
+    object.__setattr__(event, "timestamp", ts)
+    return event
+
+
+def agree_timed(assertion, stamped_events):
+    """:func:`agree` for pre-stamped traces: the live runtime keeps the
+    stamps and its final flush runs the timer check."""
+    runtime = TeslaRuntime(
+        policy=LogAndContinue(), stamp_capture=False, clock=FakeClock()
+    )
+    try:
+        runtime.install_assertions([assertion])
+        for event in stamped_events:
+            runtime.handle_event(event)
+        runtime.flush_deferred()
+        errors = sum(
+            cr.errors for cr in runtime.all_class_runtimes(assertion.name)
+        )
+        reasons = [v.reason for v in runtime.hub.policy.violations]
+    finally:
+        runtime.reset()
+    verdict = ltl_verdict(assertion, slots_of(stamped_events))
+    assert verdict.errors == errors
+    assert verdict.reason_stream() == reasons
+    return verdict
+
+
+class TestDeadline:
+    def test_stamp_on_the_deadline_uses_the_runtime_float_form(self):
+        # entry + 0.005 and the site's stamp are the same float, but
+        # site - entry > 0.005: the runtime expires the obligation, and
+        # so must the oracle.
+        site_ts = 0.004 + 0.001 + 0.004
+        assert 0.004 + 0.005 == site_ts
+        verdict = agree_timed(
+            deadline_assertion(),
+            [
+                stamped(call_event("ltl_bound", ()), 0.004),
+                stamped(assertion_site_event("ltl.deadline", {}), site_ts),
+                stamped(call_event("ltl_noise", ()), site_ts),
+            ],
+        )
+        assert verdict.kinds == ["deadline"]
+
+    def test_reentry_keeps_the_first_entry_stamp(self):
+        # A nested «init» is a no-op: the budget runs from 0.0, so the
+        # done at 0.006 is late.  Restarting at the re-entry (0.004)
+        # would wrongly accept it.
+        verdict = agree_timed(
+            deadline_assertion(),
+            [
+                stamped(call_event("ltl_bound", ()), 0.0),
+                stamped(call_event("ltl_bound", ()), 0.004),
+                stamped(assertion_site_event("ltl.deadline", {}), 0.004),
+                stamped(call_event("ltl_done", ()), 0.006),
+                stamped(return_event("ltl_bound", (), 0), 0.006),
+            ],
+        )
+        assert verdict.kinds == ["deadline"]
+        assert verdict.accepts == 0
 
 
 class TestPerThread:
