@@ -3,7 +3,7 @@
 Section 5.2 and figure 13 establish that per-event instrumentation cost —
 not automaton logic — dominates TESLA's overhead, so every optimisation
 amounts to doing less work per event.  This bench measures the two layers
-the compiled fast path adds on top of the lazy/sharded runtime:
+the compiled fast path adds on top of the lazy runtime:
 
 * **hook costs** — a plain Python call, an ``@instrumentable`` hook with
   no sinks attached (uninstrumented), a hook whose attached translator is
@@ -226,7 +226,7 @@ def _verdict(runtime):
 
 def _build(events, compile=True, codegen=False):
     runtime = TeslaRuntime(
-        lazy=True, shards=1, policy=LogAndContinue(),
+        lazy=True, policy=LogAndContinue(),
         compile=compile, codegen=codegen,
     )
     for assertion in _assertions():
@@ -359,7 +359,7 @@ def _batch_verdict(runtime):
 
 def _build_batch(events, codegen):
     runtime = TeslaRuntime(
-        lazy=True, shards=1, policy=LogAndContinue(),
+        lazy=True, policy=LogAndContinue(),
         compile=True, codegen=codegen,
     )
     for assertion in _batch_assertions():

@@ -109,7 +109,6 @@ def _verdict(runtime):
 def _build_runtime(events, failure_policy=None):
     runtime = TeslaRuntime(
         lazy=True,
-        shards=1,
         policy=LogAndContinue(),
         compile=True,
         failure_policy=failure_policy,
@@ -216,7 +215,6 @@ def test_health_report_renders_after_chaos(benchmark, results_dir):
     def measure():
         runtime = TeslaRuntime(
             lazy=True,
-            shards=1,
             policy=LogAndContinue(),
             compile=True,
             failure_policy=FailOpen(),

@@ -64,7 +64,6 @@ def _runtime(budget):
     runtime = TeslaRuntime(
         policy=LogAndContinue(),
         lazy=True,
-        shards=5,
         compile=True,
         overhead_budget=budget,
     )

@@ -78,7 +78,6 @@ def _runtime(journal=None):
     kwargs = dict(
         policy=LogAndContinue(),
         lazy=True,
-        shards=5,
         compile=True,
         deferred="manual",
     )

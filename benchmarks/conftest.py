@@ -101,12 +101,14 @@ def emit(results_dir: pathlib.Path, name: str, text: str) -> None:
 
     Alongside the human-readable table, any ``label  <number>[ unit]``
     rows are also captured into ``<name>.json`` so downstream plotting can
-    consume the figures without re-parsing the text.  Smoke runs
-    (``TESLA_BENCH_SMOKE=1``) only print: their shrunken counts must
-    never overwrite a committed full-mode result.
+    consume the figures without re-parsing the text; its ``_provenance``
+    object records the Python version, the git revision and the mode.
+    Smoke runs (``TESLA_BENCH_SMOKE=1``) only print: their shrunken counts
+    must never overwrite a committed full-mode result.
     """
     import json
     import os
+    import platform
     import re
 
     print("\n" + text)
@@ -122,6 +124,28 @@ def emit(results_dir: pathlib.Path, name: str, text: str) -> None:
         if match:
             rows[match.group("label").strip()] = float(match.group("value"))
     if rows:
+        rows["_provenance"] = {
+            "python": platform.python_version(),
+            "git": _git_revision(),
+            "mode": "full",
+        }
         (results_dir / f"{name}.json").write_text(
             json.dumps(rows, indent=1, sort_keys=True) + "\n"
         )
+
+
+def _git_revision() -> str:
+    """``git rev-parse --short HEAD`` of this checkout, or ``"unknown"``."""
+    import subprocess
+
+    try:
+        result = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"],
+            cwd=pathlib.Path(__file__).parent,
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    return result.stdout.strip() if result.returncode == 0 else "unknown"

@@ -9,11 +9,6 @@ sent".
 :class:`StackAggregator` is a notification-hub handler (and an event sink)
 that buckets occurrences by a stack signature, so hot paths and anomalous
 callers fall out of the counts without reading raw traces.
-
-This module also surfaces the sharded global store's per-shard contention
-counters (:func:`shard_contention`): the lock-striping analogue of the
-DTrace aggregation — which stripes are hot, which classes share them, and
-how often a lock acquisition actually had to wait.
 """
 
 from __future__ import annotations
@@ -107,81 +102,6 @@ class StackAggregator:
 
 
 # ---------------------------------------------------------------------------
-# Shard contention aggregation
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ShardContentionRow:
-    """One shard's lock traffic and residency."""
-
-    shard: int
-    classes: Tuple[str, ...]
-    acquisitions: int
-    contended: int
-    batches: int
-    pool_population: int
-    pool_high_water: int
-    pool_overflows: int
-
-    @property
-    def contention_ratio(self) -> float:
-        if not self.acquisitions:
-            return 0.0
-        return self.contended / self.acquisitions
-
-
-def shard_contention(runtime) -> List[ShardContentionRow]:
-    """Per-shard contention rows for a :class:`TeslaRuntime`.
-
-    ``runtime`` is duck-typed (anything with a ``global_store`` exposing
-    ``shards``), so this stays import-light like the rest of the
-    introspection layer.
-    """
-    rows: List[ShardContentionRow] = []
-    for shard in runtime.global_store.shards:
-        population = high_water = overflows = 0
-        for cr in shard.store:
-            stats = cr.pool.stats()
-            population += stats["population"]
-            high_water += stats["high_water"]
-            overflows += stats["overflows"]
-        rows.append(
-            ShardContentionRow(
-                shard=shard.index,
-                classes=tuple(shard.store.names),
-                acquisitions=shard.lock.acquisitions,
-                contended=shard.lock.contended,
-                batches=shard.batches,
-                pool_population=population,
-                pool_high_water=high_water,
-                pool_overflows=overflows,
-            )
-        )
-    return rows
-
-
-def format_shard_contention(
-    rows: List[ShardContentionRow], include_idle: bool = False
-) -> str:
-    """A printable table of shard lock traffic, busiest shards first."""
-    lines = [
-        f"{'shard':>5}  {'acquire':>8}  {'contend':>8}  {'ratio':>6}  "
-        f"{'batches':>7}  {'high-water':>10}  classes"
-    ]
-    for row in sorted(rows, key=lambda r: -r.acquisitions):
-        if not include_idle and not row.acquisitions and not row.classes:
-            continue
-        names = ", ".join(row.classes) or "(empty)"
-        lines.append(
-            f"{row.shard:>5}  {row.acquisitions:>8}  {row.contended:>8}  "
-            f"{row.contention_ratio:>6.1%}  {row.batches:>7}  "
-            f"{row.pool_high_water:>10}  {names}"
-        )
-    return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
 # Dispatch fast-path effectiveness
 # ---------------------------------------------------------------------------
 
@@ -193,7 +113,7 @@ class DispatchStats:
     The interest counters (``hook_*``/``interpose_*``) are process-global —
     hook points and the interposition table are process-wide registries —
     while the plan counters are summed over one runtime's class runtimes
-    across every store (global shards and per-thread stores).
+    across every store (the global store and per-thread stores).
     """
 
     compiled: bool
@@ -257,8 +177,8 @@ class DispatchStats:
 
 
 def dispatch_stats(runtime) -> DispatchStats:
-    """Fast-path counters for a :class:`TeslaRuntime` (duck-typed, like
-    :func:`shard_contention`)."""
+    """Fast-path counters for a :class:`TeslaRuntime` (duck-typed, so this
+    stays import-light like the rest of the introspection layer)."""
     from ..runtime.epoch import interest_epoch, interest_stats
 
     plan_hits = plan_misses = plan_invalidations = cached_plans = 0
@@ -266,7 +186,7 @@ def dispatch_stats(runtime) -> DispatchStats:
     gen_invalidations = cached_steps = 0
     gen_elided_guards = gen_elided_transitions = 0
     gen_seconds = 0.0
-    stores = list(runtime.global_store.all_stores())
+    stores = [runtime.global_store.store]
     stores.extend(runtime.thread_stores.all_stores())
     for store in stores:
         for cr in store:
@@ -342,7 +262,7 @@ def codegen_report(runtime) -> Optional[dict]:
     fallbacks: Dict[str, dict] = {}
     gen_seconds = 0.0
     elided_guards = elided_transitions = fallback_hits = 0
-    stores = list(runtime.global_store.all_stores())
+    stores = [runtime.global_store.store]
     stores.extend(runtime.thread_stores.all_stores())
     for store in stores:
         for cr in store:

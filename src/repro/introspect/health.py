@@ -7,7 +7,7 @@ module is that question: :func:`health_report` snapshots a runtime's
 supervisor, its notification hub's handler-fault counters and (when armed)
 the fault injector into one :class:`HealthReport`, and
 :func:`format_health` renders it in the same fixed-width table style as
-``format_dispatch_stats`` / ``format_shard_contention``.
+``format_dispatch_stats``.
 
 The report is the operational complement to the paper's overflow reports
 (§4.4.1): overflows say "size the pools bigger next run"; a degraded

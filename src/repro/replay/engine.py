@@ -33,11 +33,11 @@ __all__ = ["REPLAY_CONFIGS", "ClassVerdict", "ReplayEngine", "ReplayResult"]
 #: the differential suite anchors on; the others re-check the recorded
 #: window through the optimised paths.
 REPLAY_CONFIGS: Dict[str, Dict[str, Any]] = {
-    "naive": dict(lazy=False, shards=1, compile=False),
-    "lazy": dict(lazy=True, shards=1, compile=False),
-    "compiled": dict(lazy=True, shards=5, compile=True),
-    "codegen": dict(lazy=True, shards=5, compile=True, codegen=True),
-    "deferred": dict(lazy=True, shards=5, compile=True, deferred="manual"),
+    "naive": dict(lazy=False, compile=False),
+    "lazy": dict(lazy=True, compile=False),
+    "compiled": dict(lazy=True, compile=True),
+    "codegen": dict(lazy=True, compile=True, codegen=True),
+    "deferred": dict(lazy=True, compile=True, deferred="manual"),
 }
 
 #: Automata are immutable once translated (all mutable state lives in the

@@ -45,14 +45,9 @@ from .prealloc import DEFAULT_CAPACITY, InstancePool
 from .ringbuf import DEFAULT_RING_CAPACITY, EventRing, SeqnoSource
 from .store import (
     ClassRuntime,
-    GlobalShard,
     GlobalStore,
     PerThreadStores,
-    ShardedGlobalStore,
-    ShardLock,
     Store,
-    default_shard_count,
-    shard_index_for,
 )
 from .supervisor import (
     CallbackPolicy,
@@ -111,14 +106,9 @@ __all__ = [
     "DEFAULT_CAPACITY",
     "InstancePool",
     "ClassRuntime",
-    "GlobalShard",
     "GlobalStore",
     "PerThreadStores",
-    "ShardedGlobalStore",
-    "ShardLock",
     "Store",
-    "default_shard_count",
-    "shard_index_for",
     "handle_cleanup",
     "handle_init",
     "lazy_join_bound",

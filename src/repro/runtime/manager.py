@@ -18,17 +18,13 @@ only visits the classes actually touched during the bound.  This is the
 change that took the paper's microbenchmarks from ~100× to <7× overhead
 (figure 13).
 
-Global-context serialisation is *lock-striped* (figure 12's scalability
-fix): automata classes hash stably onto the shards of a
-:class:`~repro.runtime.store.ShardedGlobalStore`, and one event acquires
-each affected shard's lock exactly once.  Every piece of a class's work —
-bound entry, body events, cleanup — happens under its own shard's lock,
-so per-class event ordering is exactly the paper's; classes on different
-shards never contend.  :meth:`TeslaRuntime.dispatch_batch` amortises the
-locking further: a batch of events is grouped by shard and each shard
-lock is taken once per batch, preserving intra-batch event order per
-class (a class lives on exactly one shard, and each shard replays its
-sub-sequence in arrival order).
+Global-context serialisation is the paper's: one lock over the whole
+:class:`~repro.runtime.store.GlobalStore` (figure 12), taken once per
+event by :meth:`TeslaRuntime.handle_event`.
+:meth:`TeslaRuntime.dispatch_batch` amortises it by taking the lock once
+per batch and replaying the batch in arrival order, so every class — and
+the violation stream across classes — sees exactly the order per-event
+dispatch would give.
 """
 
 from __future__ import annotations
@@ -57,8 +53,8 @@ from .store import (
     BoundTracker,
     ClassRuntime,
     DispatchKey,
+    GlobalStore,
     PerThreadStores,
-    ShardedGlobalStore,
     Store,
 )
 from .update import (
@@ -103,8 +99,8 @@ def _dispatch_keys_of(automaton: Automaton) -> Dict[str, Set[DispatchKey]]:
 
 
 class _ContextPlan:
-    """One dispatch key's work within one context (a global shard, or the
-    calling thread's local store)."""
+    """One dispatch key's work within one context (the global store, or
+    the calling thread's local store)."""
 
     __slots__ = ("init_names", "init_bounds", "body", "cleanup_names",
                  "cleanup_bounds")
@@ -122,26 +118,27 @@ class _ContextPlan:
 
 
 class _KeyPlan:
-    """Everything one dispatch key triggers, pre-split by shard.
+    """Everything one dispatch key triggers, pre-split by context.
 
     Computed once per key and cached — the indexes never change after
     installation, so dispatch does no per-event index walking.
     """
 
-    __slots__ = ("shard_work", "local", "initiated")
+    __slots__ = ("shared", "local", "initiated")
 
     def __init__(
         self,
-        shard_work: Tuple[Tuple[int, _ContextPlan], ...],
+        shared: Optional[_ContextPlan],
         local: Optional[_ContextPlan],
         initiated: frozenset,
     ) -> None:
-        self.shard_work = shard_work
+        #: The global-context share (run under the global store's lock).
+        self.shared = shared
         self.local = local
         self.initiated = initiated
 
 
-_EMPTY_PLAN = _KeyPlan((), None, frozenset())
+_EMPTY_PLAN = _KeyPlan(None, None, frozenset())
 
 #: Every constructed runtime, for test hygiene (see ``reset_all_runtimes``).
 _live_runtimes: "weakref.WeakSet[TeslaRuntime]" = weakref.WeakSet()
@@ -153,12 +150,11 @@ def live_runtimes() -> List["TeslaRuntime"]:
 
 
 def reset_all_runtimes() -> None:
-    """Reset every live runtime: expunge instances, close bounds, zero
-    shard contention counters.
+    """Reset every live runtime: expunge instances and close bounds.
 
-    The shard layer's analogue of the instrumentation registries'
-    ``detach_all`` — test fixtures call it so automata state and per-shard
-    epoch trackers never leak across tests.
+    The runtime layer's analogue of the instrumentation registries'
+    ``detach_all`` — test fixtures call it so automata state and bound
+    trackers never leak across tests.
     """
     for runtime in live_runtimes():
         runtime.reset()
@@ -172,7 +168,6 @@ class TeslaRuntime:
         lazy: bool = True,
         capacity: int = DEFAULT_CAPACITY,
         policy: Optional[ErrorPolicy] = None,
-        shards: Optional[int] = None,
         compile: bool = True,
         codegen: bool = False,
         failure_policy: Optional[FailurePolicy] = None,
@@ -199,10 +194,6 @@ class TeslaRuntime:
             raise ValueError(
                 f"capacity is the per-class instance pool size; it must be "
                 f">= 1, got {capacity!r}"
-            )
-        if shards is not None and shards < 1:
-            raise ValueError(
-                f"shards must be >= 1 (or None to auto-size), got {shards!r}"
             )
         if ring_capacity < 1:
             raise ValueError(
@@ -318,9 +309,7 @@ class TeslaRuntime:
         #: supervisor sheds or re-arms a class (weak: translators die with
         #: their instrumentation session).
         self._translators: "weakref.WeakSet" = weakref.WeakSet()
-        #: Lock-striped global store; ``shards=1`` gives the paper's exact
-        #: single-lock semantics, ``None`` picks min(32, 4×cpu_count).
-        self.global_store = ShardedGlobalStore(capacity, shards)
+        self.global_store = GlobalStore(capacity)
         self.thread_stores = PerThreadStores(capacity)
         self.automata: Dict[str, Automaton] = {}
         self.contexts: Dict[str, Context] = {}
@@ -410,7 +399,9 @@ class TeslaRuntime:
 
     @property
     def shard_count(self) -> int:
-        return self.global_store.shard_count
+        """Always 1.  The global store is one lock; the property remains
+        only because ``perfbench`` records it in each run's provenance."""
+        return 1
 
     # -- supervision -----------------------------------------------------------
 
@@ -600,7 +591,7 @@ class TeslaRuntime:
 
     def _store_for(self, name: str) -> Store:
         if self.contexts[name] is Context.GLOBAL:
-            return self.global_store.shard_for(name).store
+            return self.global_store.store
         return self.thread_stores.current()
 
     def _thread_tracker(self) -> BoundTracker:
@@ -620,7 +611,7 @@ class TeslaRuntime:
         """Every context's runtime for one class (for post-run introspection)."""
         out = []
         if self.contexts[name] is Context.GLOBAL:
-            cr = self.global_store.get(name)
+            cr = self.global_store.store.get(name)
             if cr is not None:
                 out.append(cr)
         else:
@@ -653,7 +644,7 @@ class TeslaRuntime:
         return plan
 
     def _build_plan(self, key: DispatchKey) -> _KeyPlan:
-        shard_plans: Dict[int, _ContextPlan] = {}
+        shared = _ContextPlan()
         local = _ContextPlan()
         # Quarantined classes are shed at plan-build time: the supervisor's
         # change hook clears ``_key_plans``, so a trip or re-arm takes
@@ -668,11 +659,7 @@ class TeslaRuntime:
 
         def context_plan(name: str) -> _ContextPlan:
             if self.contexts[name] is Context.GLOBAL:
-                index = self.global_store.shard_index(name)
-                plan = shard_plans.get(index)
-                if plan is None:
-                    plan = shard_plans[index] = _ContextPlan()
-                return plan
+                return shared
             return local
 
         init_names = [
@@ -699,10 +686,10 @@ class TeslaRuntime:
             if bound not in plan.cleanup_bounds:
                 plan.cleanup_bounds.append(bound)
 
-        if not shard_plans and local.empty():
+        if shared.empty() and local.empty():
             return _EMPTY_PLAN
         return _KeyPlan(
-            shard_work=tuple(sorted(shard_plans.items())),
+            shared=None if shared.empty() else shared,
             local=None if local.empty() else local,
             initiated=frozenset(init_names),
         )
@@ -748,10 +735,10 @@ class TeslaRuntime:
             self._govern(1)
         key = (event.kind, event.name)
         plan = self._plan_for(key)
-        for index, work in plan.shard_work:
-            shard = self.global_store.shards[index]
-            with shard.lock:
-                self._run_plan(work, shard.store, shard.tracker, event,
+        if plan.shared is not None:
+            gs = self.global_store
+            with gs.lock:
+                self._run_plan(plan.shared, gs.store, gs.tracker, event,
                                plan.initiated, key)
         if plan.local is not None:
             self._run_plan(plan.local, self.thread_stores.current(),
@@ -774,17 +761,13 @@ class TeslaRuntime:
     def dispatch_batch(
         self, events: Iterable[RuntimeEvent], include_local: bool = True
     ) -> int:
-        """Batched event ingestion: each shard lock is taken once.
+        """Batched event ingestion: the global lock is taken once.
 
-        Events are grouped by the shards they affect; each shard then
-        replays its sub-sequence, in arrival order, under a single lock
-        acquisition.  Because a class lives on exactly one shard, every
-        class still observes its events in exactly the order they appear
-        in the batch; only *cross-class* interleaving across shards is
-        relaxed, which is unobservable (unrelated assertions share no
-        state).  Thread-local work is replayed afterwards, in order, with
-        no locking — its serialisation is implicit within the calling
-        thread.
+        The batch is replayed in arrival order under a single acquisition
+        of the global store's lock, each event's global share followed by
+        its thread-local share, so every class, and the violation stream
+        across classes, sees exactly what per-event :meth:`handle_event`
+        calls would produce.  A batch with no global work takes no lock.
 
         Under a fail-stop policy a violation raises mid-batch and the
         remaining events are not processed, exactly as if the same events
@@ -793,9 +776,9 @@ class TeslaRuntime:
 
         ``include_local=False`` is the drain pass calling: thread-local
         work was already evaluated inline at capture time on the owning
-        thread, so only the shard (global-context) share runs here.  An
-        external caller in deferred mode first flushes the rings so the
-        explicit batch cannot overtake events captured before it.
+        thread, so only the global share runs here.  An external caller
+        in deferred mode first flushes the rings so the explicit batch
+        cannot overtake events captured before it.
         """
         if self.drain is not None and include_local:
             self.drain.flush()
@@ -817,71 +800,70 @@ class TeslaRuntime:
         self.supervisor.advance(len(events))
         if self.governor is not None and events:
             self._govern(len(events))
-        per_shard: Dict[
-            int, List[Tuple[_ContextPlan, RuntimeEvent, frozenset, DispatchKey]]
-        ] = {}
-        local_work: List[
-            Tuple[_ContextPlan, RuntimeEvent, frozenset, DispatchKey]
+        work: List[
+            Tuple[Optional[_ContextPlan], Optional[_ContextPlan],
+                  RuntimeEvent, frozenset, DispatchKey]
         ] = []
+        shared_work = False
         for event in events:
             key = (event.kind, event.name)
             plan = self._plan_for(key)
-            for index, work in plan.shard_work:
-                per_shard.setdefault(index, []).append(
-                    (work, event, plan.initiated, key)
-                )
-            if include_local and plan.local is not None:
-                local_work.append((plan.local, event, plan.initiated, key))
-        # Batch-per-key fast path (tesla-jit): consecutive entries in a
-        # shard's sub-sequence that share a dispatch key, touch exactly one
-        # class and carry no init/cleanup work can be evaluated by that
-        # class's generated ``step_batch`` in ONE call, amortising the
-        # per-event dispatch overhead of the drain.  Restricting runs to
-        # single-class pure-body work keeps every observable stream exact:
-        # with one class there is no cross-class interleaving to reorder,
-        # and with no init/cleanup the tracker state is constant across the
-        # run, so one lazy join covers it.  Armed fault injection falls
-        # back to per-event dispatch so fault streams are byte-identical.
-        batching = self.codegen and _fi._active is None
-        for index in sorted(per_shard):
-            shard = self.global_store.shards[index]
-            entries = per_shard[index]
-            with shard.lock:
-                shard.batches += 1
-                if not batching:
-                    for work, event, initiated, key in entries:
-                        self._run_plan(work, shard.store, shard.tracker,
-                                       event, initiated, key)
-                    continue
-                i, n = 0, len(entries)
-                while i < n:
-                    work, event, initiated, key = entries[i]
-                    if (work.init_names or work.cleanup_names
-                            or len(work.body) != 1):
-                        self._run_plan(work, shard.store, shard.tracker,
-                                       event, initiated, key)
-                        i += 1
-                        continue
-                    j = i + 1
-                    while (j < n and entries[j][3] == key
-                           and entries[j][0] is work
-                           and entries[j][2] == initiated):
-                        j += 1
-                    if j - i > 1:
-                        self._run_body_batch(
-                            work, shard.store, shard.tracker,
-                            [e[1] for e in entries[i:j]], initiated, key,
-                        )
-                    else:
-                        self._run_plan(work, shard.store, shard.tracker,
-                                       event, initiated, key)
-                    i = j
-        if local_work:
-            store = self.thread_stores.current()
-            tracker = self._thread_tracker()
-            for work, event, initiated, key in local_work:
-                self._run_plan(work, store, tracker, event, initiated, key)
+            local = plan.local if include_local else None
+            if plan.shared is not None:
+                shared_work = True
+            elif local is None:
+                continue
+            work.append((plan.shared, local, event, plan.initiated, key))
+        if shared_work:
+            with self.global_store.lock:
+                self._run_batch(work)
+        elif work:
+            self._run_batch(work)
         return len(events)
+
+    def _run_batch(self, work) -> None:
+        """Replay ``dispatch_batch``'s work list in order (caller holds the
+        global lock if any entry has a global share).
+
+        Batch-per-key fast path (tesla-jit): consecutive entries that
+        share a dispatch key, touch exactly one global class, carry no
+        init/cleanup work and no thread-local share are evaluated by that
+        class's generated ``step_batch`` in ONE call, amortising the
+        per-event dispatch overhead of the drain.  Restricting runs to
+        single-class pure-body work keeps every observable stream exact:
+        with one class there is nothing to reorder, and with no
+        init/cleanup the tracker state is constant across the run, so one
+        lazy join covers it.  Armed fault injection falls back to
+        per-event dispatch so fault streams are byte-identical.
+        """
+        gs = self.global_store
+        store, tracker = gs.store, gs.tracker
+        local_store = local_tracker = None
+        batching = self.codegen and _fi._active is None
+        i, n = 0, len(work)
+        while i < n:
+            shared, local, event, initiated, key = work[i]
+            if (batching and local is None and not shared.init_names
+                    and not shared.cleanup_names and len(shared.body) == 1):
+                j = i + 1
+                while j < n and work[j][4] == key:
+                    j += 1
+                if j - i > 1:
+                    self._run_body_batch(
+                        shared, store, tracker,
+                        [entry[2] for entry in work[i:j]], initiated, key,
+                    )
+                    i = j
+                    continue
+            if shared is not None:
+                self._run_plan(shared, store, tracker, event, initiated, key)
+            if local is not None:
+                if local_store is None:
+                    local_store = self.thread_stores.current()
+                    local_tracker = self._thread_tracker()
+                self._run_plan(local, local_store, local_tracker, event,
+                               initiated, key)
+            i += 1
 
     def _run_plan(
         self,
@@ -892,8 +874,8 @@ class TeslaRuntime:
         initiated: frozenset,
         key: DispatchKey,
     ) -> None:
-        """One context's share of one event (caller holds the shard lock
-        for global contexts; thread-local contexts need none).
+        """One context's share of one event (caller holds the global lock
+        for the global context; thread-local contexts need none).
 
         Every per-class unit of work runs inside a containment boundary:
         a fault in one class's matchers, plans or pool is routed through
@@ -1029,10 +1011,10 @@ class TeslaRuntime:
         key: DispatchKey,
     ) -> None:
         """One class's pure-body share of a run of same-key events, in one
-        generated ``step_batch`` call (caller holds the shard lock).
+        generated ``step_batch`` call (caller holds the global lock).
 
         Only reached for runs with no init/cleanup work and exactly one
-        body class (``dispatch_batch`` enforces this), so the tracker's
+        body class (``_run_batch`` enforces this), so the tracker's
         bound state is constant across the run and a single lazy join
         covers every event.  Containment granularity widens from per-event
         to per-run: a monitor fault mid-batch forfeits the rest of the run
@@ -1098,9 +1080,9 @@ class TeslaRuntime:
         supervisor = self.supervisor
         for name in self._timed_classes:
             if self.contexts[name] is Context.GLOBAL:
-                shard = self.global_store.shard_for(name)
-                with shard.lock:
-                    cr = shard.store.get(name)
+                gs = self.global_store
+                with gs.lock:
+                    cr = gs.store.get(name)
                     if cr is None:
                         continue
                     try:

@@ -104,9 +104,8 @@ class InstancePool:
     def stats(self) -> dict:
         """The overflow-report-then-resize numbers (§4.4.1), one pool.
 
-        Aggregated per shard by the sharded global store's introspection
-        rows so preallocation can be resized where the pressure actually
-        is rather than globally.
+        Kept per class so preallocation can be resized where the pressure
+        actually is rather than globally.
         """
         return {
             "capacity": self.capacity,

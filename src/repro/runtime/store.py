@@ -8,19 +8,14 @@ measures: an event "cannot complete until its instrumentation hook has
 finished running", which commits the automaton to an event order consistent
 with actual behaviour.
 
-The paper's libtesla serialises the whole global store behind one lock —
-the scalability cliff of figure 12.  :class:`ShardedGlobalStore` is this
-reproduction's answer: automata classes are hashed (stably, by name) onto
-N shards, each owning its own lock, class map and bound-tracker epoch
-state, so events for unrelated assertions never contend.  ``shards=1``
-degenerates to the paper's single-lock semantics exactly.
+Like the paper's libtesla, :class:`GlobalStore` serialises the whole
+global context behind one lock; ``TeslaRuntime.dispatch_batch`` amortises
+it by taking that lock once per batch rather than once per event.
 """
 
 from __future__ import annotations
 
-import os
 import threading
-import zlib
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..core.automaton import Automaton, Transition
@@ -360,16 +355,19 @@ class PerThreadStores:
 
 
 class GlobalStore:
-    """The single cross-thread store, serialised by a lock (figure 12).
+    """The single cross-thread store, serialised by one lock (figure 12).
 
-    Retained as the paper-faithful baseline; the runtime proper now uses
-    :class:`ShardedGlobalStore` (with ``shards=1`` reproducing this
-    behaviour bit-for-bit).
+    As in libtesla, every global-context event runs under ``lock``, so
+    the global automata observe one event order consistent with what the
+    program did, across classes as well as within each.  ``tracker`` is
+    the global context's record of open bounds (lazy mode, §5.2.2) and
+    is guarded by the same lock.
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         self.store = Store(capacity)
         self.lock = threading.RLock()
+        self.tracker = BoundTracker()
 
     def register(self, automaton: Automaton) -> None:
         with self.lock:
@@ -378,173 +376,4 @@ class GlobalStore:
     def reset(self) -> None:
         with self.lock:
             self.store.reset()
-
-
-# ---------------------------------------------------------------------------
-# Lock-striped sharding
-# ---------------------------------------------------------------------------
-
-
-def default_shard_count() -> int:
-    """``min(32, 4 × cpu_count)`` — enough stripes that unrelated
-    assertion classes rarely collide, without unbounded lock tables."""
-    return min(32, 4 * (os.cpu_count() or 1))
-
-
-def shard_index_for(name: str, shards: int) -> int:
-    """Stable shard assignment for an automaton class name.
-
-    Uses CRC-32 rather than :func:`hash` so the mapping survives
-    ``PYTHONHASHSEED`` randomisation: the same class lands on the same
-    shard in every process, which keeps committed benchmark results and
-    cross-run introspection comparable.
-    """
-    return zlib.crc32(name.encode("utf-8")) % shards
-
-
-class ShardLock:
-    """A re-entrant lock that counts acquisitions and contended waits.
-
-    The counters are updated while the lock is held, so they are exact;
-    they feed the per-shard contention rows surfaced through
-    :func:`repro.introspect.aggregate.shard_contention`.
-    """
-
-    __slots__ = ("_lock", "acquisitions", "contended")
-
-    def __init__(self) -> None:
-        self._lock = threading.RLock()
-        self.acquisitions = 0
-        self.contended = 0
-
-    def __enter__(self) -> "ShardLock":
-        contended = not self._lock.acquire(blocking=False)
-        if contended:
-            self._lock.acquire()
-        self.acquisitions += 1
-        if contended:
-            self.contended += 1
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._lock.release()
-
-    def reset_counters(self) -> None:
-        self.acquisitions = 0
-        self.contended = 0
-
-
-class GlobalShard:
-    """One stripe of the global store: a lock, a class map and the
-    bound-tracker epoch state for the classes hashed onto it."""
-
-    __slots__ = ("index", "store", "lock", "tracker", "batches")
-
-    def __init__(self, index: int, capacity: int = DEFAULT_CAPACITY) -> None:
-        self.index = index
-        self.store = Store(capacity)
-        self.lock = ShardLock()
-        self.tracker = BoundTracker()
-        #: Batched-ingestion invocations that touched this shard.
-        self.batches = 0
-
-
-class _ShardedStoreView:
-    """Read-only merged view over every shard's class map.
-
-    Keeps ``runtime.global_store.store`` working for callers written
-    against the single-store :class:`GlobalStore` API.
-    """
-
-    __slots__ = ("_sharded",)
-
-    def __init__(self, sharded: "ShardedGlobalStore") -> None:
-        self._sharded = sharded
-
-    def get(self, name: str) -> Optional[ClassRuntime]:
-        return self._sharded.get(name)
-
-    def __contains__(self, name: str) -> bool:
-        return self._sharded.get(name) is not None
-
-    def __iter__(self) -> Iterator[ClassRuntime]:
-        for shard in self._sharded.shards:
-            yield from shard.store
-
-    @property
-    def names(self) -> List[str]:
-        out: List[str] = []
-        for shard in self._sharded.shards:
-            out.extend(shard.store.names)
-        return sorted(out)
-
-
-class ShardedGlobalStore:
-    """The cross-thread store, lock-striped across N shards.
-
-    Each automaton class name hashes (stably) to exactly one shard; that
-    shard's lock serialises every event the class observes, preserving the
-    paper's per-class event-ordering guarantee while letting events for
-    classes on different shards proceed without contention.  Temporal
-    bounds shared by classes on several shards are tracked independently
-    per shard — epochs are per-shard counters, and a class only ever
-    consults its own shard's tracker, so no cross-shard lock ordering
-    exists (and therefore no deadlock is possible).
-    """
-
-    def __init__(
-        self, capacity: int = DEFAULT_CAPACITY, shards: Optional[int] = None
-    ) -> None:
-        count = default_shard_count() if shards is None else shards
-        if count < 1:
-            raise ValueError(f"shard count must be >= 1, got {count}")
-        self.capacity = capacity
-        self.shard_count = count
-        self.shards: List[GlobalShard] = [
-            GlobalShard(i, capacity) for i in range(count)
-        ]
-
-    def shard_index(self, name: str) -> int:
-        return shard_index_for(name, self.shard_count)
-
-    def shard_for(self, name: str) -> GlobalShard:
-        return self.shards[shard_index_for(name, self.shard_count)]
-
-    def register(self, automaton: Automaton) -> ClassRuntime:
-        shard = self.shard_for(automaton.name)
-        with shard.lock:
-            return shard.store.install(automaton)
-
-    def get(self, name: str) -> Optional[ClassRuntime]:
-        return self.shard_for(name).store.get(name)
-
-    def all_stores(self) -> List[Store]:
-        return [shard.store for shard in self.shards]
-
-    @property
-    def store(self) -> _ShardedStoreView:
-        """Single-store compatibility view (:class:`GlobalStore` API)."""
-        return _ShardedStoreView(self)
-
-    def reset(self) -> None:
-        for shard in self.shards:
-            with shard.lock:
-                shard.store.reset()
-                shard.tracker = BoundTracker()
-                shard.batches = 0
-            shard.lock.reset_counters()
-
-    def contention_stats(self) -> List[Dict[str, object]]:
-        """One row per shard: lock traffic and resident classes."""
-        rows = []
-        for shard in self.shards:
-            rows.append(
-                {
-                    "shard": shard.index,
-                    "classes": tuple(shard.store.names),
-                    "acquisitions": shard.lock.acquisitions,
-                    "contended": shard.lock.contended,
-                    "batches": shard.batches,
-                }
-            )
-        return rows
+            self.tracker = BoundTracker()

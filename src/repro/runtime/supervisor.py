@@ -400,8 +400,8 @@ class Supervisor:
             QuarantineState.QUARANTINED,
             QuarantineState.PERMANENT,
         ):
-            # Faults from an already-shed class (e.g. mid-flight events on
-            # another shard) do not re-trip it.
+            # Faults from an already-shed class (e.g. the rest of a batch
+            # planned before the trip) do not re-trip it.
             return False
         if record is not None and record.state is QuarantineState.PROBATION:
             # One strike on probation: immediate re-trip, longer cooldown.

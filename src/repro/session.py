@@ -38,7 +38,6 @@ def monitoring(
     compile: Optional[bool] = None,
     codegen: Optional[bool] = None,
     failure_policy: Optional[FailurePolicy] = None,
-    shards: Optional[int] = None,
     deferred: object = False,
     overflow_policy: Optional[str] = None,
     ring_capacity: Optional[int] = None,
@@ -67,8 +66,7 @@ def monitoring(
     ``failure_policy`` selects
     how faults *inside the monitor* are handled (fail-stop default,
     fail-open, callback, or quarantine — see
-    :mod:`repro.runtime.supervisor`); ``shards`` sets the global store's
-    lock-stripe count.
+    :mod:`repro.runtime.supervisor`).
 
     ``deferred`` moves evaluation off the instrumented threads (DESIGN
     §5.4): ``True`` captures events into per-thread ring buffers drained
@@ -122,8 +120,6 @@ def monitoring(
         kwargs["codegen"] = codegen
     if failure_policy is not None:
         kwargs["failure_policy"] = failure_policy
-    if shards is not None:
-        kwargs["shards"] = shards
     if deferred:
         kwargs["deferred"] = deferred
     if overflow_policy is not None:

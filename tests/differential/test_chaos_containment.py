@@ -9,7 +9,7 @@ never correctness.  This module is that experiment:
 * a small deterministic application built on real instrumentation hooks
   (:func:`instrumentable` bounds/checks plus :func:`tesla_site` sites);
 * a baseline pass with no monitoring and no injection;
-* monitored passes across the naive / sharded / compiled / deferred
+* monitored passes across the naive / lazy / compiled / deferred
   runtime configurations with a seeded :class:`FaultInjector` armed —
   per-site at rate 1.0 for boundary coverage, then a combined ~10k-event
   trace;
@@ -148,23 +148,23 @@ def chaos_assertions(n_classes: int = 3):
 
 
 CONFIGS = [
-    ("naive", dict(lazy=False, shards=1, compile=False)),
-    ("sharded", dict(lazy=True, shards=5, compile=False)),
-    ("compiled", dict(lazy=True, shards=5, compile=True)),
-    ("deferred", dict(lazy=True, shards=5, compile=True, deferred="manual")),
-    ("deferred-bg", dict(lazy=True, shards=5, compile=True, deferred=True)),
+    ("naive", dict(lazy=False, compile=False)),
+    ("lazy", dict(lazy=True, compile=False)),
+    ("compiled", dict(lazy=True, compile=True)),
+    ("deferred", dict(lazy=True, compile=True, deferred="manual")),
+    ("deferred-bg", dict(lazy=True, compile=True, deferred=True)),
     # tesla-jit: an armed injector bypasses the generated fast path (the
     # ``_fi._active`` top guard), so every fault site stays reachable and
     # the verdict/containment contract is unchanged.
-    ("codegen", dict(lazy=True, shards=5, compile=True, codegen=True)),
-    ("deferred-codegen", dict(lazy=True, shards=5, compile=True,
+    ("codegen", dict(lazy=True, compile=True, codegen=True)),
+    ("deferred-codegen", dict(lazy=True, compile=True,
                               codegen=True, deferred="manual")),
     # Overhead governor armed (DESIGN §5.8).  The generous budget keeps
     # the ladder mostly quiet; what matters here is that the governor's
     # charge path runs on every dispatched class so its fault site is
     # reachable — and that a faulting governor trips (fail-safe) without
     # ever perturbing the application or the containment accounting.
-    ("governed", dict(lazy=True, shards=5, compile=True,
+    ("governed", dict(lazy=True, compile=True,
                       overhead_budget=0.9)),
 ]
 
@@ -301,7 +301,6 @@ class TestCombinedChaos:
                     policy=LogAndContinue(),
                     failure_policy=policy,
                     lazy=True,
-                    shards=1,
                 ) as runtime:
                     run_app(ops)
                     return tuple(
@@ -348,7 +347,6 @@ class TestThreadedChaos:
                 policy=LogAndContinue(),
                 failure_policy=FailOpen(),
                 lazy=True,
-                shards=5,
             ) as runtime:
                 threads = [
                     threading.Thread(target=worker, args=(index,))
@@ -385,7 +383,6 @@ class TestDeferredChaos:
                     policy=LogAndContinue(),
                     failure_policy=FailOpen(),
                     lazy=True,
-                    shards=5,
                     deferred="manual",
                 ) as runtime:
                     result = run_app(ops)
@@ -432,7 +429,6 @@ class TestDeferredChaos:
                 policy=LogAndContinue(),
                 failure_policy=FailOpen(),
                 lazy=True,
-                shards=5,
                 compile=True,
                 deferred=True,
             ) as runtime:
@@ -473,7 +469,6 @@ class TestGovernorChaos:
             policy=LogAndContinue(),
             failure_policy=FailOpen(),
             lazy=True,
-            shards=5,
             compile=True,
             **kwargs,
         ) as runtime:
@@ -522,7 +517,6 @@ class TestGovernorChaos:
                 policy=LogAndContinue(),
                 failure_policy=FailOpen(),
                 lazy=True,
-                shards=5,
                 compile=True,
                 overhead_budget=0.01,
             ) as runtime:

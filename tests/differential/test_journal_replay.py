@@ -93,7 +93,7 @@ def assertions_of(specs: Tuple[ClassSpec, ...]):
 def recording_twin(specs: Tuple[ClassSpec, ...], kwargs: dict):
     """A journaling runtime in the given configuration.  The journal
     records at the drain boundary, so every twin defers (``"manual"``
-    keeps the corpus deterministic); lazy/shards/compile are the config
+    keeps the corpus deterministic); lazy/compile/codegen are the config
     under test."""
     twin_kwargs = dict(kwargs)
     twin_kwargs["deferred"] = "manual"
@@ -198,7 +198,7 @@ def test_multithread_journal_replays_to_live_verdicts(scenario):
     replay configs and the LTL oracle."""
     specs, thread_ops = scenario
     runtime, buf = recording_twin(
-        specs, dict(lazy=True, shards=5, compile=True)
+        specs, dict(lazy=True, compile=True)
     )
     try:
         capture_concurrently(runtime, thread_ops)
@@ -227,7 +227,7 @@ def test_known_interleaving_journal_regression():
         ("site", 2, 0),
         ("check", 0, 1),
     ]
-    runtime, buf = recording_twin(specs, dict(lazy=True, shards=1))
+    runtime, buf = recording_twin(specs, dict(lazy=True))
     try:
         for event in events_of(ops):
             runtime.handle_event(event)

@@ -1,4 +1,4 @@
-"""Differential stress-test harness: naive ≡ lazy ≡ sharded ≡ batched.
+"""Differential stress-test harness: naive ≡ lazy ≡ batched ≡ compiled.
 
 The same randomized event trace — arbitrary interleavings of bound
 entry/exit, body events and assertion sites over several assertion
@@ -6,23 +6,22 @@ classes in both global and per-thread contexts — is replayed through
 every runtime configuration:
 
 * **naive** (``lazy=False``): the paper's first implementation, eager
-  wildcard materialisation, single-lock global store (``shards=1``);
-* **lazy** (``lazy=True``): the §5.2.2 optimisation, single lock;
-* **sharded**: lazy mode over the lock-striped global store;
-* **naive sharded**: eager mode over the striped store;
-* **batched**: the striped store fed through
-  :meth:`TeslaRuntime.dispatch_batch` in odd-sized chunks;
+  wildcard materialisation;
+* **lazy** (``lazy=True``): the §5.2.2 optimisation;
+* **batched**: lazy mode fed through
+  :meth:`TeslaRuntime.dispatch_batch` in odd-sized chunks, one global
+  lock acquisition per chunk;
 * **compiled** / **compiled-naive**: the precompiled transition-plan
-  dispatch path (``compile=True``) in lazy-sharded and eager-single-lock
-  flavours — interpreted and compiled matchers must be observationally
-  identical.
+  dispatch path (``compile=True``) in lazy and eager flavours —
+  interpreted and compiled matchers must be observationally identical.
 
 All configurations must agree on every class's accept count, error count,
-assertion-sites-reached count and final live-instance count.  The paper's
-semantics ("an event cannot complete until its instrumentation hook has
-finished running") say these are pure functions of the per-class event
-order, which every configuration claims to preserve — this harness is the
-check that the claim survives lock striping and batching.
+assertion-sites-reached count and final live-instance count, and on the
+full ordered stream of violations across classes.  The paper's semantics
+("an event cannot complete until its instrumentation hook has finished
+running") make these pure functions of the event order, which every
+configuration claims to preserve — this harness is the check that the
+claim survives batching, compilation and deferral.
 
 Four tesla-jit configurations (**codegen**, **codegen-naive**,
 **codegen-batched**, **deferred-codegen**) extend the sweep to the
@@ -32,8 +31,8 @@ odd-sized ``dispatch_batch`` chunks — the batch-per-key drain evaluation
 must all be observationally identical to the naive interpreter.
 
 Two deferred-pipeline configurations ride the same sweep (**deferred**:
-per-thread ring capture with explicit drains; **deferred-compiled-
-sharded**: the same over the striped store with compiled plans), and a
+per-thread ring capture with explicit drains; **deferred-compiled**: the
+same with compiled plans), and a
 *replay oracle* extends the check to real concurrency: randomized
 8-thread traces are captured through the rings, the merged (seqno-sorted)
 dispatch sequence is recorded, and that exact sequence is replayed
@@ -111,11 +110,11 @@ def _automaton_for(index: int, bound: int, context: str):
 
 
 def build_runtime(
-    specs: Tuple[ClassSpec, ...], lazy: bool, shards: int,
+    specs: Tuple[ClassSpec, ...], lazy: bool,
     compile: bool = False, deferred: object = False, codegen: bool = False,
 ):
     runtime = TeslaRuntime(
-        lazy=lazy, shards=shards, policy=LogAndContinue(), compile=compile,
+        lazy=lazy, policy=LogAndContinue(), compile=compile,
         deferred=deferred, codegen=codegen,
     )
     for index, (bound, context) in enumerate(specs):
@@ -195,24 +194,18 @@ def scenarios(draw):
 
 
 CONFIGS = [
-    ("naive", dict(lazy=False, shards=1, compile=False)),
-    ("lazy", dict(lazy=True, shards=1, compile=False)),
-    ("sharded", dict(lazy=True, shards=5, compile=False)),
-    ("naive-sharded", dict(lazy=False, shards=5, compile=False)),
-    ("batched", dict(lazy=True, shards=5, compile=False)),
-    ("compiled", dict(lazy=True, shards=5, compile=True)),
-    ("compiled-naive", dict(lazy=False, shards=1, compile=True)),
-    ("deferred", dict(lazy=True, shards=1, compile=False,
-                      deferred="manual")),
-    ("deferred-compiled-sharded", dict(lazy=True, shards=5, compile=True,
-                                       deferred="manual")),
-    ("codegen", dict(lazy=True, shards=5, compile=True, codegen=True)),
-    ("codegen-naive", dict(lazy=False, shards=1, compile=True,
-                           codegen=True)),
-    ("codegen-batched", dict(lazy=True, shards=5, compile=True,
-                             codegen=True)),
-    ("deferred-codegen", dict(lazy=True, shards=5, compile=True,
-                              codegen=True, deferred="manual")),
+    ("naive", dict(lazy=False, compile=False)),
+    ("lazy", dict(lazy=True, compile=False)),
+    ("batched", dict(lazy=True, compile=False)),
+    ("compiled", dict(lazy=True, compile=True)),
+    ("compiled-naive", dict(lazy=False, compile=True)),
+    ("deferred", dict(lazy=True, compile=False, deferred="manual")),
+    ("deferred-compiled", dict(lazy=True, compile=True, deferred="manual")),
+    ("codegen", dict(lazy=True, compile=True, codegen=True)),
+    ("codegen-naive", dict(lazy=False, compile=True, codegen=True)),
+    ("codegen-batched", dict(lazy=True, compile=True, codegen=True)),
+    ("deferred-codegen", dict(lazy=True, compile=True, codegen=True,
+                              deferred="manual")),
 ]
 
 
@@ -259,20 +252,19 @@ def test_all_modes_agree(scenario):
 @settings(max_examples=50, deadline=None)
 @given(scenarios())
 def test_violation_streams_agree(scenario):
-    """Not just counts: the per-class sequence of violation reasons must
-    match between the single-lock and sharded/batched configurations."""
+    """Not just counts: the full ordered sequence of (class, reason)
+    violations, across classes, must match the naive interpreter's — a
+    batch keeps cross-class arrival order under its one lock."""
     specs, ops = scenario
     events = events_of(ops)
     streams = {}
     for name, kwargs in CONFIGS:
         runtime = build_runtime(specs, **kwargs)
         replay(name, runtime, events)
-        per_class: Dict[str, List[str]] = {}
-        for violation in runtime.hub.policy.violations:
-            per_class.setdefault(violation.automaton, []).append(
-                violation.reason
-            )
-        streams[name] = per_class
+        streams[name] = [
+            (violation.automaton, violation.reason)
+            for violation in runtime.hub.policy.violations
+        ]
     baseline = streams["naive"]
     for name, got in streams.items():
         assert got == baseline, f"{name} violation stream diverged"
@@ -313,17 +305,16 @@ def test_known_interleaving_regression():
 # -- the replay oracle: real concurrency vs the naive interpreter --------------
 
 #: Deferred flavours the multi-thread oracle sweeps: deterministic manual
-#: drains, the compiled+sharded fast path, and the background drainer
-#: racing the producers for real.
+#: drains, the compiled fast path, and the background drainer racing the
+#: producers for real.
 MT_DEFERRED_CONFIGS = [
-    ("mt-deferred", dict(lazy=True, shards=1, compile=False,
-                         deferred="manual")),
-    ("mt-deferred-compiled-sharded", dict(lazy=True, shards=5, compile=True,
-                                          deferred="manual")),
-    ("mt-deferred-background", dict(lazy=True, shards=5, compile=True,
+    ("mt-deferred", dict(lazy=True, compile=False, deferred="manual")),
+    ("mt-deferred-compiled", dict(lazy=True, compile=True,
+                                  deferred="manual")),
+    ("mt-deferred-background", dict(lazy=True, compile=True,
                                     deferred=True)),
-    ("mt-deferred-codegen", dict(lazy=True, shards=5, compile=True,
-                                 codegen=True, deferred="manual")),
+    ("mt-deferred-codegen", dict(lazy=True, compile=True, codegen=True,
+                                 deferred="manual")),
 ]
 
 N_THREADS = 8
@@ -414,7 +405,7 @@ def test_deferred_multithread_matches_naive_replay_of_merged_trace(scenario):
         seqnos = [seqno for seqno, _ in log]
         assert seqnos == sorted(seqnos)
         assert len(seqnos) == len(set(seqnos)) == stats["events_drained"]
-        reference = build_runtime(specs, lazy=False, shards=1, compile=False)
+        reference = build_runtime(specs, lazy=False, compile=False)
         for _, event in log:
             reference.handle_event(event)
         expected = verdict(reference, len(specs))
@@ -437,10 +428,10 @@ def test_deferred_multithread_violation_streams_match_replay(scenario):
     must match the naive replay of the merged trace."""
     specs, thread_ops = scenario
     runtime = build_runtime(
-        specs, lazy=True, shards=5, compile=True, deferred="manual"
+        specs, lazy=True, compile=True, deferred="manual"
     )
     log = capture_concurrently(runtime, thread_ops)
-    reference = build_runtime(specs, lazy=False, shards=1, compile=False)
+    reference = build_runtime(specs, lazy=False, compile=False)
     for _, event in log:
         reference.handle_event(event)
 

@@ -216,18 +216,16 @@ def timed_scenarios(draw):
 
 
 CONFIGS = [
-    ("naive", dict(lazy=False, shards=1, compile=False)),
-    ("lazy", dict(lazy=True, shards=1, compile=False)),
-    ("sharded", dict(lazy=True, shards=5, compile=False)),
-    ("batched", dict(lazy=True, shards=5, compile=False)),
-    ("compiled", dict(lazy=True, shards=5, compile=True)),
+    ("naive", dict(lazy=False, compile=False)),
+    ("lazy", dict(lazy=True, compile=False)),
+    ("batched", dict(lazy=True, compile=False)),
+    ("compiled", dict(lazy=True, compile=True)),
     # tesla-jit refuses clock guards per plan and falls back to the
     # compiled interpreter — this config proves the fallback is loud but
     # semantically invisible.
-    ("codegen", dict(lazy=True, shards=5, compile=True, codegen=True)),
-    ("deferred", dict(lazy=True, shards=1, compile=False,
-                      deferred="manual")),
-    ("deferred-codegen", dict(lazy=True, shards=5, compile=True,
+    ("codegen", dict(lazy=True, compile=True, codegen=True)),
+    ("deferred", dict(lazy=True, compile=False, deferred="manual")),
+    ("deferred-codegen", dict(lazy=True, compile=True,
                               codegen=True, deferred="manual")),
 ]
 

@@ -1,4 +1,4 @@
-"""Multi-threaded stress tests for the lock-striped sharded global store.
+"""Multi-threaded stress tests for the single-lock global store.
 
 Two regimes, both with 8 worker threads:
 
@@ -8,11 +8,11 @@ Two regimes, both with 8 worker threads:
   errors, zero lost transitions.
 * **overlapping** — every thread hammers the *same* four classes inside
   one shared global bound, each thread with its own binding values.  The
-  shard locks must serialise per-class state well enough that every
+  global lock must serialise per-class state well enough that every
   (check, site) pair lands: zero errors, one accept per distinct binding.
 
-Threads are joined with a bounded timeout; a deadlock (e.g. a lock
-ordering cycle between shards) fails the test rather than hanging CI.
+Threads are joined with a bounded timeout; a deadlock fails the test
+rather than hanging CI.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from repro.core.events import (
     call_event,
     return_event,
 )
-from repro.introspect.aggregate import shard_contention
 from repro.runtime.manager import TeslaRuntime
 
 N_THREADS = 8
@@ -97,7 +96,7 @@ class TestDisjointClasses:
         return work
 
     def test_disjoint_verdicts_are_deterministic(self):
-        runtime = TeslaRuntime(shards=8)
+        runtime = TeslaRuntime()
         for index in range(N_THREADS):
             runtime.install_assertion(disjoint_assertion(index))
         errors = []
@@ -111,12 +110,10 @@ class TestDisjointClasses:
             assert cr.errors == 0
             assert cr.sites_reached == self.ITERS
             assert len(cr.pool) == 0  # every bound closed cleanly
-        rows = shard_contention(runtime)
-        assert sum(row.acquisitions for row in rows) > 0
 
     def test_disjoint_batched_dispatch(self):
         """Same workload fed through ``dispatch_batch`` per iteration."""
-        runtime = TeslaRuntime(shards=8)
+        runtime = TeslaRuntime()
         for index in range(N_THREADS):
             runtime.install_assertion(disjoint_assertion(index))
         errors = []
@@ -155,7 +152,7 @@ class TestOverlappingClasses:
     N_CLASSES = 4
 
     def test_shared_classes_lose_nothing(self):
-        runtime = TeslaRuntime(shards=8, capacity=4096)
+        runtime = TeslaRuntime(capacity=4096)
         for index in range(self.N_CLASSES):
             runtime.install_assertion(shared_assertion(index))
         runtime.handle_event(call_event("stress_shared_bound", ()))

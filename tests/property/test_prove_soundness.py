@@ -95,11 +95,10 @@ _AUTOMATA = [
 PROVED_NAMES = [name for name, _ in PROVABLE_SHAPES]
 
 CONFIGS = [
-    ("naive", dict(lazy=False, shards=1, compile=False)),
-    ("compiled", dict(lazy=True, shards=5, compile=True)),
-    ("deferred", dict(lazy=True, shards=1, compile=False,
-                      deferred="manual")),
-    ("codegen", dict(lazy=True, shards=5, compile=True, codegen=True)),
+    ("naive", dict(lazy=False, compile=False)),
+    ("compiled", dict(lazy=True, compile=True)),
+    ("deferred", dict(lazy=True, compile=False, deferred="manual")),
+    ("codegen", dict(lazy=True, compile=True, codegen=True)),
 ]
 
 Op = Tuple[str, ...]
@@ -165,7 +164,7 @@ def test_shapes_have_the_claimed_verdicts():
 def test_proved_shapes_are_not_vacuous():
     """A PROVED automaton still *does* something: sites inside a bound
     are accepted, so zero-errors is a statement about real activity."""
-    runtime = build_runtime(lazy=False, shards=1)
+    runtime = build_runtime(lazy=False)
     for event in events_of([("init",), ("hook", 0), ("site",)]):
         runtime.handle_event(event)
     counts = tallies(runtime)
@@ -177,7 +176,7 @@ def test_control_shape_detects_violations():
     """Discrimination: the same harness flags the UNKNOWN control on a
     check-less trace — zero errors for PROVED shapes is not a harness
     blind spot."""
-    runtime = build_runtime(lazy=False, shards=1)
+    runtime = build_runtime(lazy=False)
     for event in events_of([("init",), ("site",)]):
         runtime.handle_event(event)
     assert tallies(runtime)[CONTROL_NAME][1] == 1

@@ -202,7 +202,7 @@ def _verdict(runtime, name="cg_cls"):
 
 def _run(events, **kwargs):
     runtime = TeslaRuntime(
-        lazy=True, shards=1, policy=LogAndContinue(), **kwargs
+        lazy=True, policy=LogAndContinue(), **kwargs
     )
     runtime.install_assertion(_assertion())
     for event in events:
@@ -233,7 +233,7 @@ class TestRuntimeFallbackContract:
         seen = []
         compiled = _run(events, compile=True)
         jitted = TeslaRuntime(
-            lazy=True, shards=1, policy=LogAndContinue(),
+            lazy=True, policy=LogAndContinue(),
             compile=True, codegen=True,
         )
         jitted.hub.add_handler(seen.append)
@@ -260,7 +260,7 @@ class TestRuntimeFallbackContract:
         events = _trace(rounds=8)
         sync = _run(events, compile=True, codegen=True)
         batched = TeslaRuntime(
-            lazy=True, shards=1, policy=LogAndContinue(),
+            lazy=True, policy=LogAndContinue(),
             compile=True, codegen=True,
         )
         batched.install_assertion(_assertion())
@@ -287,7 +287,7 @@ class TestRuntimeFallbackContract:
 
         def run(batched):
             runtime = TeslaRuntime(
-                lazy=True, shards=1, policy=LogAndContinue(),
+                lazy=True, policy=LogAndContinue(),
                 compile=True, codegen=batched is not None and batched,
             )
             runtime.install_assertion(weird)

@@ -89,8 +89,6 @@ class TestNumericKnobValidation:
     BAD_KNOBS = [
         (dict(capacity=0), "capacity"),
         (dict(capacity=-3), "capacity"),
-        (dict(shards=0), "shards"),
-        (dict(shards=-1), "shards"),
         (dict(ring_capacity=0), "ring_capacity"),
         (dict(ring_capacity=-8), "ring_capacity"),
         (dict(drain_interval=0.0), "drain_interval"),
@@ -157,7 +155,6 @@ class TestNumericKnobValidation:
     def test_valid_edge_values_accepted(self):
         runtime = TeslaRuntime(
             capacity=1,
-            shards=1,
             ring_capacity=1,
             drain_interval=1e-6,
             overflow_policy="flush",

@@ -134,7 +134,7 @@ class TestMidTraceAttach:
 
     def _run(self, compile):
         runtime = TeslaRuntime(
-            lazy=True, shards=3, policy=LogAndContinue(), compile=compile
+            lazy=True, policy=LogAndContinue(), compile=compile
         )
         auto_a, ctx_a = _automaton(
             name="attach_a", check="attach_check_a", bound="attach_bound"
@@ -183,7 +183,7 @@ class TestMidTraceAttach:
         # (minus B's private events, which A does not observe).
         _, verdicts = self._run(compile=True)
         fresh = TeslaRuntime(
-            lazy=True, shards=3, policy=LogAndContinue(), compile=True
+            lazy=True, policy=LogAndContinue(), compile=True
         )
         auto_a, ctx_a = _automaton(
             name="attach_a", check="attach_check_a", bound="attach_bound"
