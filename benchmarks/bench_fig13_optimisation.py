@@ -7,7 +7,9 @@ record of common bounds and materialising instances lazily brought the
 microbenchmarks under 7× and builds under 10% overhead.
 
 Here "Pre" is the eager runtime (``lazy=False``) and "Post" the optimised
-one (``lazy=True``), measured over the MAC and PROC assertion sets
+one (``lazy=True``), both on compiled-plan dispatch (``codegen=False``, so
+the ablation isolates lazy initialisation from the default generated
+steps), measured over the MAC and PROC assertion sets
 (figure 13a's microbenchmark columns) and the OLTP and build
 macrobenchmarks under the full set (figure 13b).
 
@@ -81,7 +83,7 @@ def run_baseline_micro():
 @pytest.mark.parametrize("lazy", [False, True], ids=["pre", "post"])
 def test_fig13a_micro(benchmark, set_name, lazy):
     sets = assertion_sets()
-    session = Instrumenter(TeslaRuntime(lazy=lazy))
+    session = Instrumenter(TeslaRuntime(lazy=lazy, codegen=False))
     session.instrument(sets[set_name])
     kernel = KernelSystem()
     td = kernel.boot()
@@ -95,7 +97,7 @@ def test_fig13a_micro(benchmark, set_name, lazy):
 @pytest.mark.parametrize("lazy", [False, True], ids=["pre", "post"])
 def test_fig13b_macro(benchmark, workload, lazy):
     sets = assertion_sets()
-    session = Instrumenter(TeslaRuntime(lazy=lazy))
+    session = Instrumenter(TeslaRuntime(lazy=lazy, codegen=False))
     session.instrument(sets["All"])
     kernel = KernelSystem()
     td = kernel.boot()
@@ -110,22 +112,24 @@ def test_fig13b_macro(benchmark, workload, lazy):
 
 
 def test_fig13_shape(benchmark, results_dir):
+    PRE = dict(lazy=False, codegen=False)
+    POST = dict(lazy=True, codegen=False)
     JIT = dict(lazy=True, compile=True, codegen=True)
 
     def run():
         baseline = run_baseline_micro()
         rows = {
-            "MAC micro (pre)": run_micro("M", lazy=False),
-            "MAC micro (post)": run_micro("M", lazy=True),
+            "MAC micro (pre)": run_micro("M", **PRE),
+            "MAC micro (post)": run_micro("M", **POST),
             "MAC micro (jit)": run_micro("M", **JIT),
-            "PROC micro (pre)": run_micro("P", lazy=False),
-            "PROC micro (post)": run_micro("P", lazy=True),
+            "PROC micro (pre)": run_micro("P", **PRE),
+            "PROC micro (post)": run_micro("P", **POST),
             "PROC micro (jit)": run_micro("P", **JIT),
-            "OLTP (pre)": run_macro("oltp", lazy=False),
-            "OLTP (post)": run_macro("oltp", lazy=True),
+            "OLTP (pre)": run_macro("oltp", **PRE),
+            "OLTP (post)": run_macro("oltp", **POST),
             "OLTP (jit)": run_macro("oltp", **JIT),
-            "Build (pre)": run_macro("build", lazy=False),
-            "Build (post)": run_macro("build", lazy=True),
+            "Build (pre)": run_macro("build", **PRE),
+            "Build (post)": run_macro("build", **POST),
             "Build (jit)": run_macro("build", **JIT),
         }
         return baseline, rows

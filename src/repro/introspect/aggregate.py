@@ -124,7 +124,6 @@ class DispatchStats:
     interpose_refreshes: int
     plan_hits: int
     plan_misses: int
-    plan_invalidations: int
     cached_plans: int
     #: Deferred-pipeline counters (all zero for synchronous runtimes).
     #: ``queue_depth`` is sampled live — ``dispatch_stats`` deliberately
@@ -140,16 +139,20 @@ class DispatchStats:
     max_batch: int = 0
     flush_seconds: float = 0.0
     last_flush_seconds: float = 0.0
-    #: tesla-jit counters (all zero unless the runtime was built with
-    #: ``codegen=True``).  ``gen_fallback_plans`` counts *plans* the
-    #: generator declined (cached as fallbacks), ``gen_fallback_hits``
-    #: counts events those plans carried through the interpreter.
+    #: tesla-jit counters (all zero when generated steps are off, i.e.
+    #: ``compile=False`` or ``codegen=False``).  ``gen_fallback_plans``
+    #: counts *plans* the generator declined (cached as fallbacks),
+    #: ``gen_fallback_hits`` counts events those plans carried through
+    #: the interpreter; ``gen_code_hits``/``gen_code_misses`` split the
+    #: generated steps by whether the process-wide code cache already
+    #: held their compiled source.
     codegen: bool = False
     gen_hits: int = 0
     gen_misses: int = 0
     gen_fallback_plans: int = 0
     gen_fallback_hits: int = 0
-    gen_invalidations: int = 0
+    gen_code_hits: int = 0
+    gen_code_misses: int = 0
     cached_steps: int = 0
     gen_elided_guards: int = 0
     gen_elided_transitions: int = 0
@@ -181,9 +184,9 @@ def dispatch_stats(runtime) -> DispatchStats:
     stays import-light like the rest of the introspection layer)."""
     from ..runtime.epoch import interest_epoch, interest_stats
 
-    plan_hits = plan_misses = plan_invalidations = cached_plans = 0
+    plan_hits = plan_misses = cached_plans = 0
     gen_hits = gen_misses = gen_fallback_plans = gen_fallback_hits = 0
-    gen_invalidations = cached_steps = 0
+    gen_code_hits = gen_code_misses = cached_steps = 0
     gen_elided_guards = gen_elided_transitions = 0
     gen_seconds = 0.0
     stores = [runtime.global_store.store]
@@ -192,13 +195,13 @@ def dispatch_stats(runtime) -> DispatchStats:
         for cr in store:
             plan_hits += cr.plan_hits
             plan_misses += cr.plan_misses
-            plan_invalidations += cr.plan_invalidations
             cached_plans += cr.plan_cache_size
             gen_hits += cr.gen_hits
             gen_misses += cr.gen_misses
             gen_fallback_plans += cr.gen_fallback_plans
             gen_fallback_hits += cr.gen_fallback_hits
-            gen_invalidations += cr.gen_invalidations
+            gen_code_hits += cr.gen_code_hits
+            gen_code_misses += cr.gen_code_misses
             cached_steps += cr.gen_cache_size
             gen_elided_guards += cr.gen_elided_guards
             gen_elided_transitions += cr.gen_elided_transitions
@@ -229,14 +232,14 @@ def dispatch_stats(runtime) -> DispatchStats:
         interpose_refreshes=interest_stats.interpose_refreshes,
         plan_hits=plan_hits,
         plan_misses=plan_misses,
-        plan_invalidations=plan_invalidations,
         cached_plans=cached_plans,
         codegen=getattr(runtime, "codegen", False),
         gen_hits=gen_hits,
         gen_misses=gen_misses,
         gen_fallback_plans=gen_fallback_plans,
         gen_fallback_hits=gen_fallback_hits,
-        gen_invalidations=gen_invalidations,
+        gen_code_hits=gen_code_hits,
+        gen_code_misses=gen_code_misses,
         cached_steps=cached_steps,
         gen_elided_guards=gen_elided_guards,
         gen_elided_transitions=gen_elided_transitions,
@@ -249,19 +252,26 @@ def dispatch_stats(runtime) -> DispatchStats:
 
 def codegen_report(runtime) -> Optional[dict]:
     """tesla-jit effectiveness: which dispatch keys generated, which fell
-    back (and why), what elision bought, and what generation cost.
+    back (and why), what elision bought, what generation cost, and how
+    often the process-wide code cache spared a ``compile()``.
 
-    Returns ``None`` for runtimes built without ``codegen=True``.  Counts
-    are per *key label* (``kind:name``) aggregated over every class
-    runtime holding a cached step for that key — a key observed by three
-    classes that all generated shows ``3``.
+    Returns ``None`` for runtimes that do not run generated steps
+    (``compile=False``, or an explicit ``codegen=False``).  Counts are per
+    *key label* (``kind:name``) aggregated over every class runtime
+    holding a cached step for that key — a key observed by three classes
+    that all generated shows ``3``.  ``code_cache_hits``/``_misses`` are
+    this runtime's generations; ``code_cache_size`` is the process-wide
+    cache's occupancy against its bound ``code_cache_bound``.
     """
     if not getattr(runtime, "codegen", False):
         return None
+    from ..runtime.codegen import CODE_CACHE_SIZE, code_cache_size
+
     generated: Dict[str, int] = {}
     fallbacks: Dict[str, dict] = {}
     gen_seconds = 0.0
     elided_guards = elided_transitions = fallback_hits = 0
+    code_hits = code_misses = 0
     stores = [runtime.global_store.store]
     stores.extend(runtime.thread_stores.all_stores())
     for store in stores:
@@ -278,6 +288,8 @@ def codegen_report(runtime) -> Optional[dict]:
             elided_guards += cr.gen_elided_guards
             elided_transitions += cr.gen_elided_transitions
             fallback_hits += cr.gen_fallback_hits
+            code_hits += cr.gen_code_hits
+            code_misses += cr.gen_code_misses
     return {
         "generated": dict(sorted(generated.items())),
         "fallbacks": dict(sorted(fallbacks.items())),
@@ -285,6 +297,10 @@ def codegen_report(runtime) -> Optional[dict]:
         "elided_transitions": elided_transitions,
         "fallback_hits": fallback_hits,
         "gen_seconds": gen_seconds,
+        "code_cache_hits": code_hits,
+        "code_cache_misses": code_misses,
+        "code_cache_size": code_cache_size(),
+        "code_cache_bound": CODE_CACHE_SIZE,
     }
 
 
@@ -315,15 +331,15 @@ def format_dispatch_stats(stats: DispatchStats) -> str:
         f"short-circuits, {stats.interpose_refreshes} cache refreshes",
         f"transition plans     {stats.plan_hits} hits / "
         f"{stats.plan_misses} misses ({stats.plan_hit_ratio:.1%} hit "
-        f"ratio), {stats.plan_invalidations} epoch invalidations, "
-        f"{stats.cached_plans} plans resident",
+        f"ratio), {stats.cached_plans} plans resident",
     ]
     if stats.codegen:
         lines.append(
             f"generated steps      {stats.gen_hits} hits / "
             f"{stats.gen_misses} misses ({stats.gen_hit_ratio:.1%} hit "
-            f"ratio), {stats.gen_invalidations} epoch invalidations, "
-            f"{stats.cached_steps} steps resident"
+            f"ratio), {stats.cached_steps} steps resident, "
+            f"{stats.gen_code_hits} compiles spared by the code cache / "
+            f"{stats.gen_code_misses} compiled"
         )
         lines.append(
             f"codegen              {stats.gen_fallback_plans} fallback "

@@ -68,7 +68,9 @@ class HealthReport:
     #: ``None`` unless the runtime proves installed batches.
     prove: Optional[dict] = None
     #: tesla-jit summary (DESIGN §5.7): per-key generated/fallback counts,
-    #: elision totals and generation cost; ``None`` unless ``codegen=True``.
+    #: elision totals, generation cost and code-cache traffic; ``None``
+    #: when the runtime runs no generated steps (``compile=False`` or an
+    #: explicit ``codegen=False``).
     codegen: Optional[dict] = None
     #: Overhead-governor summary (DESIGN §5.8): budget, measured spend
     #: ratios, per-class cost ranking with shedding-ladder state, recent
@@ -225,7 +227,9 @@ def format_health(report: HealthReport) -> str:
             f"fallback={sum(r['classes'] for r in cg['fallbacks'].values())} "
             f"elided_guards={cg['elided_guards']} "
             f"elided_transitions={cg['elided_transitions']} "
-            f"gen_time={cg['gen_seconds'] * 1e3:.2f}ms"
+            f"gen_time={cg['gen_seconds'] * 1e3:.2f}ms "
+            f"code_cache={cg['code_cache_hits']}hit/"
+            f"{cg['code_cache_misses']}miss"
         )
         for label, row in cg["fallbacks"].items():
             lines.append(

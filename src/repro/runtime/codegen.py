@@ -53,6 +53,9 @@ change, mirroring the journal's ``golden.tjournal`` protocol).
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
+from types import CodeType
 from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from ..core.ast import (
@@ -224,29 +227,33 @@ class GeneratedSource:
 
 class CompiledStep:
     """An ``exec``-compiled plan: the fused per-event function and its
-    batch variant, plus the generation accounting."""
+    batch variant, plus the generation accounting.  ``code_cached`` says
+    whether the source's code object came from :data:`_CODE_CACHE`.  The
+    source text itself is not kept: :data:`_CODE_CACHE` holds one copy per
+    distinct source, and ``generate_source`` reproduces it byte for
+    byte."""
 
     __slots__ = (
         "step",
         "step_batch",
-        "source",
         "elided_guards",
         "elided_transitions",
+        "code_cached",
     )
 
     def __init__(
         self,
         step,
         step_batch,
-        source: str,
         elided_guards: int,
         elided_transitions: int,
+        code_cached: bool = False,
     ) -> None:
         self.step = step
         self.step_batch = step_batch
-        self.source = source
         self.elided_guards = elided_guards
         self.elided_transitions = elided_transitions
+        self.code_cached = code_cached
 
 
 # ---------------------------------------------------------------------------
@@ -923,6 +930,40 @@ def generate_source(
     )
 
 
+#: Most code objects :data:`_CODE_CACHE` keeps; the least recently used
+#: one is evicted past this.  fs-mac's 96 assertions generate ~200 steps.
+CODE_CACHE_SIZE = 1024
+
+#: Process-wide cache of compiled code objects, keyed by generated source
+#: text.  Generation is byte-deterministic, and a code object holds only
+#: the source's own literals — every runtime value reaches a step through
+#: its per-class ``exec`` namespace — so one entry serves every runtime
+#: that generates the same source and keeps none of them alive.
+_CODE_CACHE: "OrderedDict[str, CodeType]" = OrderedDict()
+_CODE_CACHE_LOCK = threading.Lock()
+
+
+def _code_for(source: str, filename: str) -> Tuple[CodeType, bool]:
+    """The code object for ``source`` and whether it was already cached.
+    Compiling happens outside the lock; a racing duplicate is harmless."""
+    with _CODE_CACHE_LOCK:
+        code = _CODE_CACHE.get(source)
+        if code is not None:
+            _CODE_CACHE.move_to_end(source)
+            return code, True
+    code = compile(source, filename, "exec")
+    with _CODE_CACHE_LOCK:
+        _CODE_CACHE[source] = code
+        while len(_CODE_CACHE) > CODE_CACHE_SIZE:
+            _CODE_CACHE.popitem(last=False)
+    return code, False
+
+
+def code_cache_size() -> int:
+    """How many code objects the process-wide cache holds right now."""
+    return len(_CODE_CACHE)
+
+
 def compile_plan_step(
     automaton: Automaton,
     plan: TransitionPlan,
@@ -934,18 +975,17 @@ def compile_plan_step(
     if generated.fallback_reason is not None:
         return GenerationFallback(generated.fallback_reason)
     namespace = generated.namespace
-    code = compile(
+    code, cached = _code_for(
         generated.source,
         f"<tesla-jit {automaton.name} {plan.key[0].name}:{plan.key[1]}>",
-        "exec",
     )
     exec(code, namespace)
     return CompiledStep(
         step=namespace["step"],
         step_batch=namespace["step_batch"],
-        source=generated.source,
         elided_guards=generated.elided_guards,
         elided_transitions=generated.elided_transitions,
+        code_cached=cached,
     )
 
 

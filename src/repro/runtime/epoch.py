@@ -1,18 +1,21 @@
-"""The interest-set epoch: one clock invalidating every dispatch cache.
+"""The interest-set epoch: one clock invalidating every interest cache.
 
 The compiled fast path (section 5.2's "do less work per event" family of
-optimisations) caches three kinds of derived state:
+optimisations) caches two kinds of derived state that depend on who is
+listening:
 
 * each :class:`~repro.instrument.hooks.HookPoint` caches which of its
   attached sinks are actually interested in its event name, so a hook
   whose events no automaton observes returns before constructing a
   :class:`~repro.core.events.RuntimeEvent`;
 * the :class:`~repro.instrument.interpose.InterpositionTable` caches, per
-  selector, the hooks whose sinks still care about that selector;
-* each :class:`~repro.runtime.store.ClassRuntime` caches compiled
-  per-(class, event-key) transition plans.
+  selector, the hooks whose sinks still care about that selector.
 
-All three verdicts depend on *which automata classes are attached where*,
+(Per-class transition plans and generated steps are pure functions of
+their automaton and dispatch key, so they are keyed by content and never
+consult the epoch — DESIGN §5.7.)
+
+Both verdicts depend on *which automata classes are attached where*,
 which changes rarely (installation, ``uninstrument()``, test teardown) but
 must invalidate promptly — a detached sink whose cached "interested"
 verdict survived would keep receiving events for a dead runtime.  Rather

@@ -169,7 +169,7 @@ class TeslaRuntime:
         capacity: int = DEFAULT_CAPACITY,
         policy: Optional[ErrorPolicy] = None,
         compile: bool = True,
-        codegen: bool = False,
+        codegen: Optional[bool] = None,
         failure_policy: Optional[FailurePolicy] = None,
         deferred: object = False,
         overflow_policy: str = "flush",
@@ -237,7 +237,9 @@ class TeslaRuntime:
             raise ValueError(
                 f"prove must be 'off', 'report' or 'prune', got {prove!r}"
             )
-        if codegen and not compile:
+        if codegen is None:
+            codegen = compile
+        elif codegen and not compile:
             raise ValueError(
                 "codegen=True generates specialized code from compiled "
                 "transition plans; it requires compile=True"
@@ -252,11 +254,12 @@ class TeslaRuntime:
         #: per-(class, key) step functions instead of the interpreted
         #: plan walk, falling back (loudly, counted) to the compiled
         #: interpreter for any plan the generator can't specialize.
+        #: Defaults to ``compile``: generated steps are the production
+        #: engine, ``compile=False`` the naive interpreter.
         self.codegen = codegen
-        #: Memoized :class:`~repro.runtime.codegen.CodegenFacts` snapshot,
-        #: keyed by interest epoch (installs both change lint facts and
-        #: bump the epoch, so staleness rides the same invalidation).
-        self._facts_epoch = -1
+        #: Memoized :class:`~repro.runtime.codegen.CodegenFacts` snapshot;
+        #: ``None`` until first needed and again whenever an install grows
+        #: the lint or prove report.
         self._facts = None
         #: The runtime's one time source (DESIGN §5.9): drives capture
         #: timestamping, timer (deadline) expiry and the overhead
@@ -412,7 +415,8 @@ class TeslaRuntime:
     def _on_supervisor_change(self) -> None:
         """A class was quarantined or re-armed: rebuild every derived
         dispatch structure, then bump the interest epoch so hook-point and
-        interposition caches (and per-class plan caches) follow."""
+        interposition caches follow.  Per-class plans and generated steps
+        depend on nothing a trip changes, so they stay."""
         self._key_plans.clear()
         for translator in list(self._translators):
             translator._rebuild()
@@ -497,6 +501,7 @@ class TeslaRuntime:
             self.lint_report = report
         else:
             self.lint_report.extend(report)
+        self._facts = None
         if report.errors and self.lint == "error":
             from ..errors import LintError
 
@@ -531,6 +536,7 @@ class TeslaRuntime:
             self.prove_report = report
         else:
             self.prove_report.extend(report)
+        self._facts = None
 
     def install_automaton(self, automaton: Automaton, context: Context) -> None:
         if automaton.name in self.automata:
@@ -555,9 +561,10 @@ class TeslaRuntime:
             self.global_store.register(automaton)
         else:
             self.thread_stores.register(automaton)
-        # The indexes changed; plans are rebuilt on next dispatch, and the
-        # interest epoch bump invalidates every hook-point interest cache
-        # and per-class transition-plan cache in the process.
+        # The indexes changed; dispatch plans are rebuilt on next dispatch,
+        # and the interest epoch bump invalidates every hook-point interest
+        # cache in the process.  Other classes' plans and steps are keyed
+        # by their own content and stay valid.
         self._key_plans.clear()
         self._rebuild_deferred_keys()
         interest_epoch.bump()
@@ -623,18 +630,17 @@ class TeslaRuntime:
 
     # -- dispatch planning --------------------------------------------------------
 
-    def _codegen_facts(self, epoch: int):
-        """The lint-facts snapshot the generator may rely on, memoized per
-        interest epoch (every install bumps the epoch after updating
-        ``lint_report``, so a stale snapshot is impossible)."""
-        if self._facts_epoch != epoch:
+    def _codegen_facts(self):
+        """The lint and prove facts the generator may rely on, memoized
+        until an install grows ``lint_report`` or ``prove_report``."""
+        facts = self._facts
+        if facts is None:
             from .codegen import CodegenFacts
 
-            self._facts = CodegenFacts.from_report(
+            facts = self._facts = CodegenFacts.from_report(
                 self.lint_report, prove=self.prove_report
             )
-            self._facts_epoch = epoch
-        return self._facts
+        return facts
 
     def _plan_for(self, key: DispatchKey) -> _KeyPlan:
         plan = self._key_plans.get(key)
@@ -886,15 +892,13 @@ class TeslaRuntime:
         *violation* policy speaking, not a monitor fault.
         """
         compiled = self.compiled
-        codegen = self.codegen
+        # Facts are fetched only for body work: an event that merely opens
+        # or closes bounds (all an idle workload sees) never needs them.
+        codegen = self.codegen and work.body
         supervisor = self.supervisor
         gov = self.governor
-        if compiled:
-            # One epoch read per (event, context); each class's plan_for
-            # is a dict probe plus an integer compare.
-            epoch = interest_epoch.value
         if codegen:
-            facts = self._codegen_facts(epoch)
+            facts = self._codegen_facts()
         if self.lazy:
             # One epoch bump per distinct bound — "a per-context record of
             # common initialisation events" — independent of how many
@@ -918,7 +922,7 @@ class TeslaRuntime:
                         cr.sample_rate = gov.sample_rate(name)
                     handle_init(
                         cr, event, self.hub, lazy=False,
-                        plan=cr.plan_for(key, epoch) if compiled else None,
+                        plan=cr.plan_for(key) if compiled else None,
                     )
                 except TemporalAssertionError:
                     raise
@@ -939,7 +943,7 @@ class TeslaRuntime:
                 if self.lazy:
                     lazy_join_bound(cr, bound, tracker, governor=gov)
                 if codegen:
-                    entry = cr.step_for(key, epoch, facts)
+                    entry = cr.step_for(key, facts)
                     if entry is not None:
                         entry.step(cr, event, self.hub)
                     else:
@@ -948,12 +952,12 @@ class TeslaRuntime:
                         # interpreter carries the event instead.
                         tesla_update_state(
                             cr, event, self.hub, self.lazy,
-                            plan=cr.plan_for(key, epoch),
+                            plan=cr.plan_for(key),
                         )
                 else:
                     tesla_update_state(
                         cr, event, self.hub, self.lazy,
-                        plan=cr.plan_for(key, epoch) if compiled else None,
+                        plan=cr.plan_for(key) if compiled else None,
                     )
             except TemporalAssertionError:
                 raise
@@ -973,7 +977,7 @@ class TeslaRuntime:
                         cr = store.get(name)
                         handle_cleanup(
                             cr, event, self.hub,
-                            plan=cr.plan_for(key, epoch) if compiled else None,
+                            plan=cr.plan_for(key) if compiled else None,
                         )
                     except TemporalAssertionError:
                         raise
@@ -990,7 +994,7 @@ class TeslaRuntime:
                     cr = store.get(name)
                     handle_cleanup(
                         cr, event, self.hub,
-                        plan=cr.plan_for(key, epoch) if compiled else None,
+                        plan=cr.plan_for(key) if compiled else None,
                     )
                 except TemporalAssertionError:
                     raise
@@ -1020,8 +1024,7 @@ class TeslaRuntime:
         to per-run: a monitor fault mid-batch forfeits the rest of the run
         for this class, which the supervisor attributes exactly as before.
         """
-        epoch = interest_epoch.value
-        facts = self._codegen_facts(epoch)
+        facts = self._codegen_facts()
         supervisor = self.supervisor
         gov = self.governor
         for name, bound in work.body:
@@ -1032,11 +1035,11 @@ class TeslaRuntime:
                 cr = store.get(name)
                 if self.lazy:
                     lazy_join_bound(cr, bound, tracker, governor=gov)
-                entry = cr.step_for(key, epoch, facts)
+                entry = cr.step_for(key, facts)
                 if entry is not None:
                     entry.step_batch(cr, events, self.hub)
                 else:
-                    plan = cr.plan_for(key, epoch)
+                    plan = cr.plan_for(key)
                     for event in events:
                         tesla_update_state(
                             cr, event, self.hub, self.lazy, plan=plan

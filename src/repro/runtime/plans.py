@@ -19,10 +19,11 @@ automaton and one dispatch key it precomputes:
 
 The kind/name guards of the interpreted matchers are elided: a plan is
 only ever consulted for events of its own key, so the guards are
-tautological.  Plans are cached on each
-:class:`~repro.runtime.store.ClassRuntime` and invalidated by the
-process-wide :data:`~repro.runtime.epoch.interest_epoch`, so attaching a
-class mid-trace rebuilds stale plans before the next event is processed.
+tautological.  A plan is a pure function of (automaton, key), so each
+:class:`~repro.runtime.store.ClassRuntime` caches its plans by key alone
+and keeps them for life: attaching another class mid-trace, hook churn
+and shedding change which classes a key reaches (the manager's dispatch
+plans), never what one class's plan for that key is.
 
 This module deliberately imports only :mod:`repro.core` (plus the
 dependency-free fault-injection checkpoints) — the store imports *it*,

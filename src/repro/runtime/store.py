@@ -89,20 +89,20 @@ class ClassRuntime:
         "accepts",
         "sites_reached",
         "_plans",
-        "_plan_epoch",
         "plan_hits",
         "plan_misses",
-        "plan_invalidations",
         "_gen",
-        "_gen_epoch",
+        "_gen_facts",
         "gen_hits",
         "gen_misses",
         "gen_fallback_plans",
         "gen_fallback_hits",
-        "gen_invalidations",
+        "gen_code_hits",
+        "gen_code_misses",
         "gen_elided_guards",
         "gen_elided_transitions",
         "gen_seconds",
+        "__weakref__",
     )
 
     def __init__(self, automaton: Automaton, capacity: int = DEFAULT_CAPACITY) -> None:
@@ -136,24 +136,28 @@ class ClassRuntime:
         self.errors = 0
         self.accepts = 0
         self.sites_reached = 0
-        #: Compiled transition plans, keyed by dispatch key; valid only
-        #: while ``_plan_epoch`` matches the global interest epoch.
+        #: Compiled transition plans, keyed by dispatch key.  A plan is a
+        #: pure function of (automaton, key), so nothing outside this
+        #: class (hook churn, quarantine, governor) can make one stale.
         self._plans: Dict[DispatchKey, TransitionPlan] = {}
-        self._plan_epoch = -1
         self.plan_hits = 0
         self.plan_misses = 0
-        self.plan_invalidations = 0
         #: tesla-jit generated step functions (DESIGN §5.7), keyed like
         #: plans; an entry is a ``CompiledStep`` or a ``GenerationFallback``
         #: (the "can't specialize" decision is cached too, so the compiled
         #: interpreter fallback costs one dict probe, not a regeneration).
+        #: Every entry was generated under ``_gen_facts``: a step is a pure
+        #: function of (automaton, key, facts).
         self._gen: Dict[DispatchKey, object] = {}
-        self._gen_epoch = -1
+        self._gen_facts = None
         self.gen_hits = 0
         self.gen_misses = 0
         self.gen_fallback_plans = 0
         self.gen_fallback_hits = 0
-        self.gen_invalidations = 0
+        #: Generations whose source was already compiled (process-wide
+        #: code cache hit) vs compiled afresh.
+        self.gen_code_hits = 0
+        self.gen_code_misses = 0
         self.gen_elided_guards = 0
         self.gen_elided_transitions = 0
         self.gen_seconds = 0.0
@@ -163,21 +167,14 @@ class ClassRuntime:
             self.transition_counts.get(transition, 0) + 1
         )
 
-    def plan_for(self, key: DispatchKey, epoch: int) -> TransitionPlan:
-        """The compiled plan for ``key``, rebuilt lazily on epoch change.
+    def plan_for(self, key: DispatchKey) -> TransitionPlan:
+        """The compiled plan for ``key``, built lazily on first use.
 
-        ``epoch`` is the caller's snapshot of the global interest epoch
-        (read once per event, outside any per-class loop).  The caller
-        must hold whatever lock serialises this class — the cache is
-        per-class state like the pool.
+        The caller must hold whatever lock serialises this class — the
+        cache is per-class state like the pool.
         """
         if _fi._active is not None:
             _fi.fault_point(_FP_PLAN_FOR)
-        if self._plan_epoch != epoch:
-            if self._plans:
-                self.plan_invalidations += 1
-                self._plans.clear()
-            self._plan_epoch = epoch
         plan = self._plans.get(key)
         if plan is None:
             self.plan_misses += 1
@@ -187,23 +184,21 @@ class ClassRuntime:
             self.plan_hits += 1
         return plan
 
-    def step_for(self, key: DispatchKey, epoch: int, facts):
+    def step_for(self, key: DispatchKey, facts):
         """The tesla-jit generated step for ``key``, or ``None`` when the
         generator declined this plan (the caller then runs the compiled
         interpreter via :meth:`plan_for`).
 
-        Same caching discipline as :meth:`plan_for`: valid while
-        ``_gen_epoch`` matches the caller's interest-epoch snapshot, and
-        the caller must hold whatever lock serialises this class.
         ``facts`` is the runtime's :class:`~repro.runtime.codegen.
-        CodegenFacts` snapshot — it only changes on installs, which bump
-        the epoch, so facts-staleness rides the same invalidation.
+        CodegenFacts` snapshot.  The cache holds steps generated under one
+        facts value; a snapshot that differs in content (an install
+        changed the lint or prove facts) drops them, an equal one keeps
+        them.  The caller must hold whatever lock serialises this class.
         """
-        if self._gen_epoch != epoch:
-            if self._gen:
-                self.gen_invalidations += 1
+        if facts is not self._gen_facts:
+            if self._gen and facts != self._gen_facts:
                 self._gen.clear()
-            self._gen_epoch = epoch
+            self._gen_facts = facts
         entry = self._gen.get(key)
         if entry is None:
             from time import perf_counter
@@ -211,7 +206,7 @@ class ClassRuntime:
             from .codegen import compile_plan_step
 
             self.gen_misses += 1
-            plan = self.plan_for(key, epoch)
+            plan = self.plan_for(key)
             start = perf_counter()
             entry = compile_plan_step(self.automaton, plan, facts)
             self.gen_seconds += perf_counter() - start
@@ -219,6 +214,10 @@ class ClassRuntime:
             if entry.step is None:
                 self.gen_fallback_plans += 1
                 return None
+            if entry.code_cached:
+                self.gen_code_hits += 1
+            else:
+                self.gen_code_misses += 1
             self.gen_elided_guards += entry.elided_guards
             self.gen_elided_transitions += entry.elided_transitions
             return entry
@@ -265,13 +264,12 @@ class ClassRuntime:
         # unchanged); only the effectiveness counters restart.
         self.plan_hits = 0
         self.plan_misses = 0
-        self.plan_invalidations = 0
         self.gen_hits = 0
         self.gen_misses = 0
         self.gen_fallback_hits = 0
-        self.gen_invalidations = 0
-        # gen_fallback_plans / gen_elided_* / gen_seconds describe the
-        # cache's *contents* (which survive the reset), not traffic.
+        # gen_fallback_plans / gen_code_* / gen_elided_* / gen_seconds
+        # describe the cache's *contents* (which survive the reset), not
+        # traffic.
 
 
 class Store:

@@ -57,12 +57,13 @@ def monitoring(
     callees; ``objc_selectors`` routes those names through the
     interposition table; ``lazy=False`` selects the pre-optimisation
     runtime (the figure 13 ablation); ``capacity`` bounds instance pools;
-    ``compile=False`` disables the compiled transition-plan fast path
-    (the dispatch-cost ablation measured by
-    ``benchmarks/bench_dispatch_fastpath.py``); ``codegen=True`` layers
-    tesla-jit on top of the compiled path — each transition plan is
-    specialized into generated Python (DESIGN §5.7), falling back to the
-    compiled interpreter per plan when specialization is unsupported;
+    ``compile=False`` selects the naive interpreter (the dispatch-cost
+    ablation measured by ``benchmarks/bench_dispatch_fastpath.py``);
+    ``codegen`` defaults to ``compile``, so by default each transition
+    plan runs as tesla-jit generated Python (DESIGN §5.7), falling back
+    to the compiled plan interpreter per plan when specialization is
+    unsupported; ``codegen=False`` keeps the compiled plan interpreter,
+    and ``codegen=True`` with ``compile=False`` is a ``ValueError``;
     ``failure_policy`` selects
     how faults *inside the monitor* are handled (fail-stop default,
     fail-open, callback, or quarantine — see

@@ -150,9 +150,11 @@ def chaos_assertions(n_classes: int = 3):
 CONFIGS = [
     ("naive", dict(lazy=False, compile=False)),
     ("lazy", dict(lazy=True, compile=False)),
-    ("compiled", dict(lazy=True, compile=True)),
-    ("deferred", dict(lazy=True, compile=True, deferred="manual")),
-    ("deferred-bg", dict(lazy=True, compile=True, deferred=True)),
+    ("compiled", dict(lazy=True, compile=True, codegen=False)),
+    ("deferred", dict(lazy=True, compile=True, codegen=False,
+                      deferred="manual")),
+    ("deferred-bg", dict(lazy=True, compile=True, codegen=False,
+                         deferred=True)),
     # tesla-jit: an armed injector bypasses the generated fast path (the
     # ``_fi._active`` top guard), so every fault site stays reachable and
     # the verdict/containment contract is unchanged.
@@ -164,7 +166,7 @@ CONFIGS = [
     # charge path runs on every dispatched class so its fault site is
     # reachable — and that a faulting governor trips (fail-safe) without
     # ever perturbing the application or the containment accounting.
-    ("governed", dict(lazy=True, compile=True,
+    ("governed", dict(lazy=True, compile=True, codegen=False,
                       overhead_budget=0.9)),
 ]
 
@@ -430,6 +432,7 @@ class TestDeferredChaos:
                 failure_policy=FailOpen(),
                 lazy=True,
                 compile=True,
+                codegen=False,
                 deferred=True,
             ) as runtime:
                 threads = [
@@ -470,6 +473,7 @@ class TestGovernorChaos:
             failure_policy=FailOpen(),
             lazy=True,
             compile=True,
+            codegen=False,
             **kwargs,
         ) as runtime:
             result = run_app(ops)
@@ -518,6 +522,7 @@ class TestGovernorChaos:
                 failure_policy=FailOpen(),
                 lazy=True,
                 compile=True,
+                codegen=False,
                 overhead_budget=0.01,
             ) as runtime:
                 # Force the next tick to take a decision: the injected

@@ -198,7 +198,7 @@ def test_multithread_journal_replays_to_live_verdicts(scenario):
     replay configs and the LTL oracle."""
     specs, thread_ops = scenario
     runtime, buf = recording_twin(
-        specs, dict(lazy=True, compile=True)
+        specs, dict(lazy=True, compile=True, codegen=False)
     )
     try:
         capture_concurrently(runtime, thread_ops)

@@ -219,7 +219,7 @@ CONFIGS = [
     ("naive", dict(lazy=False, compile=False)),
     ("lazy", dict(lazy=True, compile=False)),
     ("batched", dict(lazy=True, compile=False)),
-    ("compiled", dict(lazy=True, compile=True)),
+    ("compiled", dict(lazy=True, compile=True, codegen=False)),
     # tesla-jit refuses clock guards per plan and falls back to the
     # compiled interpreter — this config proves the fallback is loud but
     # semantically invisible.

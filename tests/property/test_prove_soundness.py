@@ -96,7 +96,7 @@ PROVED_NAMES = [name for name, _ in PROVABLE_SHAPES]
 
 CONFIGS = [
     ("naive", dict(lazy=False, compile=False)),
-    ("compiled", dict(lazy=True, compile=True)),
+    ("compiled", dict(lazy=True, compile=True, codegen=False)),
     ("deferred", dict(lazy=True, compile=False, deferred="manual")),
     ("codegen", dict(lazy=True, compile=True, codegen=True)),
 ]

@@ -1,4 +1,5 @@
-"""Unit tests for compiled transition plans and epoch invalidation."""
+"""Unit tests for compiled transition plans and their content-keyed
+cache."""
 
 from repro.core.automaton import TransitionKind
 from repro.core.dsl import (
@@ -98,43 +99,39 @@ class TestPlanConstruction:
 
 
 class TestPlanCache:
-    def test_hits_misses_and_epoch_invalidation(self):
+    def test_hits_misses_and_bump_keeps_plans(self):
         automaton, _ = _automaton(name="plan_cache_cls")
         cr = ClassRuntime(automaton)
         key = (EventKind.RETURN, "plan_check")
-        epoch = interest_epoch.value
-        first = cr.plan_for(key, epoch)
+        first = cr.plan_for(key)
         assert (cr.plan_misses, cr.plan_hits) == (1, 0)
-        assert cr.plan_for(key, epoch) is first
+        assert cr.plan_for(key) is first
         assert (cr.plan_misses, cr.plan_hits) == (1, 1)
         assert cr.plan_cache_size == 1
-        # A registration elsewhere bumps the epoch: stale plans are dropped
-        # and rebuilt on next use.
-        stale_epoch = interest_epoch.bump()
-        rebuilt = cr.plan_for(key, stale_epoch)
-        assert rebuilt is not first
-        assert cr.plan_invalidations == 1
-        assert (cr.plan_misses, cr.plan_hits) == (2, 1)
+        # A plan is a function of (automaton, key) alone: a registration
+        # elsewhere bumps the interest epoch but leaves the plan valid.
+        interest_epoch.bump()
+        assert cr.plan_for(key) is first
+        assert (cr.plan_misses, cr.plan_hits) == (1, 2)
 
     def test_reset_keeps_plans_but_zeroes_counters(self):
         automaton, _ = _automaton(name="plan_reset_cls")
         cr = ClassRuntime(automaton)
-        epoch = interest_epoch.value
-        cr.plan_for((EventKind.RETURN, "plan_check"), epoch)
+        cr.plan_for((EventKind.RETURN, "plan_check"))
         cr.reset()
         assert cr.plan_cache_size == 1
-        assert (cr.plan_hits, cr.plan_misses, cr.plan_invalidations) == (
-            0, 0, 0,
-        )
+        assert (cr.plan_hits, cr.plan_misses) == (0, 0)
 
 
 class TestMidTraceAttach:
-    """Attaching a class mid-trace must invalidate cached plans and leave
-    verdicts identical to the interpreted engine's."""
+    """Attaching a class mid-trace must leave verdicts identical to the
+    interpreted engine's, and leave the other classes' plans and
+    generated steps in place."""
 
-    def _run(self, compile):
+    def _run(self, compile, codegen=None, snapshots=None):
         runtime = TeslaRuntime(
-            lazy=True, policy=LogAndContinue(), compile=compile
+            lazy=True, policy=LogAndContinue(), compile=compile,
+            codegen=codegen,
         )
         auto_a, ctx_a = _automaton(
             name="attach_a", check="attach_check_a", bound="attach_bound"
@@ -150,6 +147,9 @@ class TestMidTraceAttach:
         ]
         for event in part1:
             runtime.handle_event(event)
+        if snapshots is not None:
+            cr_a = runtime.class_runtime("attach_a")
+            snapshots.append((dict(cr_a._plans), dict(cr_a._gen)))
         runtime.install_automaton(auto_b, ctx_b)
         part2 = [
             return_event("attach_check_b", ("c", "v2"), 0),
@@ -165,17 +165,37 @@ class TestMidTraceAttach:
             verdicts[name] = (cr.accepts, cr.errors, cr.sites_reached)
         return runtime, verdicts
 
-    def test_compiled_matches_interpreted_and_rebuilds_plans(self):
-        compiled_runtime, compiled_verdicts = self._run(compile=True)
+    def test_compiled_matches_interpreted_and_keeps_plans(self):
+        snapshots = []
+        compiled_runtime, compiled_verdicts = self._run(
+            compile=True, codegen=False, snapshots=snapshots
+        )
         _, interpreted_verdicts = self._run(compile=False)
         assert compiled_verdicts == interpreted_verdicts
         assert compiled_verdicts["attach_a"] == (1, 1, 1)
         assert compiled_verdicts["attach_b"] == (1, 0, 1)
         # Class A had plans cached before B's installation bumped the
-        # epoch; its part-2 events must have rebuilt them.
+        # epoch; its part-2 events reused them rather than rebuilding.
+        (plans_before, _), = snapshots
         cr_a = compiled_runtime.class_runtime("attach_a")
-        assert cr_a.plan_invalidations >= 1
-        assert cr_a.plan_misses > cr_a.plan_invalidations
+        assert plans_before
+        for key, plan in plans_before.items():
+            assert cr_a._plans[key] is plan
+        assert cr_a.plan_misses == cr_a.plan_cache_size
+
+    def test_codegen_matches_interpreted_and_keeps_steps(self):
+        snapshots = []
+        jit_runtime, jit_verdicts = self._run(
+            compile=True, codegen=True, snapshots=snapshots
+        )
+        _, interpreted_verdicts = self._run(compile=False)
+        assert jit_verdicts == interpreted_verdicts
+        (_, steps_before), = snapshots
+        cr_a = jit_runtime.class_runtime("attach_a")
+        assert steps_before
+        for key, step in steps_before.items():
+            assert cr_a._gen[key] is step
+        assert cr_a.gen_misses == cr_a.gen_cache_size
 
     def test_verdicts_match_a_fresh_runtime(self):
         # A's verdicts are unaffected by B arriving mid-trace: a fresh

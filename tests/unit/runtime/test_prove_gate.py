@@ -228,7 +228,5 @@ class TestCodegenWidening:
     def test_runtime_facts_carry_prove_occupancy(self):
         rt = TeslaRuntime(prove="report", compile=True, codegen=True)
         rt.install_assertions([unprovable()])
-        from repro.runtime.epoch import interest_epoch
-
-        facts = rt._codegen_facts(interest_epoch.value)
+        facts = rt._codegen_facts()
         assert "pg_live" in facts.occupancy
