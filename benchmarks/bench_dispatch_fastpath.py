@@ -1,9 +1,9 @@
-"""The compiled event fast path: interest filtering + transition plans.
+"""The event fast path: interest filtering + generated steps.
 
 Section 5.2 and figure 13 establish that per-event instrumentation cost —
 not automaton logic — dominates TESLA's overhead, so every optimisation
 amounts to doing less work per event.  This bench measures the two layers
-the compiled fast path adds on top of the lazy runtime:
+the fast path adds on top of the lazy runtime:
 
 * **hook costs** — a plain Python call, an ``@instrumentable`` hook with
   no sinks attached (uninstrumented), a hook whose attached translator is
@@ -16,10 +16,10 @@ the compiled fast path adds on top of the lazy runtime:
 * **dispatch throughput** — a figure-13-style workload (several global
   classes sharing one syscall bound, multi-step ``previously`` sequences
   with variable bindings, per-value clones, sites, drain) replayed through
-  ``compile=False`` (the paper-faithful interpreted engine) and
-  ``compile=True`` (per-(class, event-key) transition plans with
-  closure-compiled matchers).  Verdicts must be identical; the compiled
-  engine must be ≥ 2× faster single-threaded.
+  ``compile=False`` (the paper-faithful naive interpreter) and
+  ``compile=True`` (tesla-jit's generated per-(class, event-key) steps,
+  DESIGN §5.7).  Verdicts must be identical; the generated engine must
+  be ≥ 2× faster single-threaded.
 
 Smoke mode (``TESLA_BENCH_SMOKE=1``, used by CI) shrinks iteration counts
 and skips the timing-ratio assertions while keeping every correctness
@@ -152,7 +152,7 @@ def test_hook_interest_costs(benchmark, results_dir):
         assert rows["watched hook"] > 2 * rows["uninterested hook"]
 
 
-# -- part B: compiled vs interpreted dispatch throughput ----------------------
+# -- part B: generated vs interpreted dispatch throughput ---------------------
 
 N_CLASSES = 6
 N_STEPS = 3
@@ -169,7 +169,7 @@ def _assertions():
     paper's MAC assertions, where one site is guarded by whichever of a
     family of checks ran.  Wide states are where the interpreted engine
     pays per event: every outgoing branch's symbol is re-matched, while
-    the compiled plan touches only the one transition keyed by the event.
+    the generated step touches only the transitions keyed by the event.
     """
     out = []
     for i in range(N_CLASSES):
@@ -224,10 +224,9 @@ def _verdict(runtime):
     return out
 
 
-def _build(events, compile=True, codegen=False):
+def _build(events, compile):
     runtime = TeslaRuntime(
-        lazy=True, policy=LogAndContinue(),
-        compile=compile, codegen=codegen,
+        lazy=True, policy=LogAndContinue(), compile=compile,
     )
     for assertion in _assertions():
         runtime.install_assertion(assertion)
@@ -244,39 +243,30 @@ def test_dispatch_throughput(benchmark, results_dir):
 
     def measure():
         interpreted, replay_i = _build(events, compile=False)
-        compiled, replay_c = _build(events, compile=True)
-        jitted, replay_j = _build(events, compile=True, codegen=True)
+        jitted, replay_j = _build(events, compile=True)
         best = interleaved_best(
             {
                 "interpreted": lambda: time_once(replay_i),
-                "compiled": lambda: time_once(replay_c),
                 "codegen": lambda: time_once(replay_j),
             },
             repeats=REPEATS,
         )
-        return (
-            interpreted, best["interpreted"],
-            compiled, best["compiled"],
-            jitted, best["codegen"],
-        )
+        return interpreted, best["interpreted"], jitted, best["codegen"]
 
-    interpreted, interp_s, compiled, compiled_s, jitted, jit_s = (
-        benchmark.pedantic(measure, rounds=1, iterations=1)
+    interpreted, interp_s, jitted, jit_s = benchmark.pedantic(
+        measure, rounds=1, iterations=1
     )
-    speedup = interp_s / compiled_s
-    jit_speedup = compiled_s / jit_s
+    speedup = interp_s / jit_s
     stats = dispatch_stats(jitted)
     lines = [
-        "Dispatch fast path (b): compiled vs interpreted throughput",
-        "----------------------------------------------------------",
+        "Dispatch fast path (b): generated vs interpreted throughput",
+        "-----------------------------------------------------------",
         f"({N_CLASSES} classes x {N_STEPS}-step sequences, "
         f"{len(events)} events/replay)",
         f"{'configuration':<24}{'events/s':>12}",
         f"{'interpreted':<24}{len(events) / interp_s:>12.0f}",
-        f"{'compiled':<24}{len(events) / compiled_s:>12.0f}",
         f"{'codegen (tesla-jit)':<24}{len(events) / jit_s:>12.0f}",
         f"{'speedup':<24}{speedup:>12.2f}",
-        f"{'codegen/compiled':<24}{jit_speedup:>12.2f}",
         "",
         format_dispatch_stats(stats),
     ]
@@ -284,132 +274,13 @@ def test_dispatch_throughput(benchmark, results_dir):
 
     # Correctness before speed: identical per-class verdicts, no errors,
     # and every class actually accepted instances (the workload is live).
-    assert _verdict(compiled) == _verdict(interpreted) == _verdict(jitted)
-    assert all(errors == 0 for _, errors, _ in _verdict(compiled))
-    assert all(accepts > 0 for accepts, _, _ in _verdict(compiled))
-    # Steady state: plans were compiled once and then hit; tesla-jit
-    # generated every key (no fallbacks) and hit its step cache.  (The
-    # plan counters are read from the compiled runtime — generated steps
-    # bypass plan_for except on their own cache misses.)
-    compiled_stats = dispatch_stats(compiled)
-    assert compiled_stats.plan_hits > compiled_stats.plan_misses
+    assert _verdict(jitted) == _verdict(interpreted)
+    assert all(errors == 0 for _, errors, _ in _verdict(jitted))
+    assert all(accepts > 0 for accepts, _, _ in _verdict(jitted))
+    # Steady state: tesla-jit generated every key once (no fallbacks) and
+    # then hit its step cache.
     assert stats.gen_fallback_plans == 0
-    assert stats.gen_hits > stats.gen_misses
+    assert stats.plan_hits > stats.plan_misses
     if not SMOKE:
         # The acceptance bar: >= 2x single-thread dispatch throughput.
-        assert speedup >= 2.0, speedup
-
-
-# -- part C: batch-per-key drain evaluation (tesla-jit) -----------------------
-#
-# The drain hands ``dispatch_batch`` long runs of same-key events (one
-# producer thread looping through the same instrumented call dominates a
-# ring).  For a single-class key with no init/cleanup work the generated
-# ``step_batch`` evaluates the whole run in ONE call — one cache probe,
-# one lazy join, one containment boundary — instead of paying the full
-# per-event dispatch ladder.  This is the issue's >= 2x acceptance bar.
-
-BATCH_ROUNDS = 2 if SMOKE else 30
-BATCH_RUN = 64  # consecutive same-key events per run, drain-realistic
-BATCH_CHUNK = 256  # events per dispatch_batch call
-BATCH_BOUND = "fpb_syscall"
-N_BATCH_CLASSES = 3
-
-
-def _batch_assertions():
-    """Single-class keys (each check observed by exactly one class): the
-    shape the batch-per-key fast path accepts."""
-    return [
-        tesla_global(
-            call(BATCH_BOUND),
-            returnfrom(BATCH_BOUND),
-            previously(fn(f"fpb_check{i}", ANY("c"), var("v")) == 0),
-            name=f"fpb_cls{i}",
-        )
-        for i in range(N_BATCH_CLASSES)
-    ]
-
-
-def _batch_trace(rounds):
-    events = []
-    for round_no in range(rounds):
-        events.append(call_event(BATCH_BOUND, ()))
-        for i in range(N_BATCH_CLASSES):
-            for k in range(BATCH_RUN):
-                events.append(
-                    return_event(
-                        f"fpb_check{i}", ("c", f"val{k % N_VALUES}"), 0
-                    )
-                )
-            for v in range(N_VALUES):
-                events.append(
-                    assertion_site_event(f"fpb_cls{i}", {"v": f"val{v}"})
-                )
-        events.append(return_event(BATCH_BOUND, (), 0))
-    return events
-
-
-def _batch_verdict(runtime):
-    out = []
-    for i in range(N_BATCH_CLASSES):
-        cr = runtime.class_runtime(f"fpb_cls{i}")
-        out.append((cr.accepts, cr.errors, cr.sites_reached))
-    return out
-
-
-def _build_batch(events, codegen):
-    runtime = TeslaRuntime(
-        lazy=True, policy=LogAndContinue(),
-        compile=True, codegen=codegen,
-    )
-    for assertion in _batch_assertions():
-        runtime.install_assertion(assertion)
-
-    def replay():
-        for start in range(0, len(events), BATCH_CHUNK):
-            runtime.dispatch_batch(events[start:start + BATCH_CHUNK])
-
-    return runtime, replay
-
-
-def test_batch_drain_throughput(benchmark, results_dir):
-    events = _batch_trace(BATCH_ROUNDS)
-
-    def measure():
-        compiled, replay_c = _build_batch(events, codegen=False)
-        jitted, replay_j = _build_batch(events, codegen=True)
-        best = interleaved_best(
-            {
-                "compiled": lambda: time_once(replay_c),
-                "codegen": lambda: time_once(replay_j),
-            },
-            repeats=REPEATS,
-        )
-        return compiled, best["compiled"], jitted, best["codegen"]
-
-    compiled, compiled_s, jitted, jit_s = benchmark.pedantic(
-        measure, rounds=1, iterations=1
-    )
-    speedup = compiled_s / jit_s
-    stats = dispatch_stats(jitted)
-    lines = [
-        "Dispatch fast path (c): batch-per-key drain evaluation",
-        "------------------------------------------------------",
-        f"({N_BATCH_CLASSES} classes, runs of {BATCH_RUN} same-key events, "
-        f"{len(events)} events/replay, {BATCH_CHUNK}-event batches)",
-        f"{'configuration':<24}{'events/s':>12}",
-        f"{'compiled':<24}{len(events) / compiled_s:>12.0f}",
-        f"{'codegen (step_batch)':<24}{len(events) / jit_s:>12.0f}",
-        f"{'codegen/compiled':<24}{speedup:>12.2f}",
-        "",
-        format_dispatch_stats(stats),
-    ]
-    emit(results_dir, "dispatch_fastpath_batch", "\n".join(lines))
-
-    assert _batch_verdict(jitted) == _batch_verdict(compiled)
-    assert all(accepts > 0 for accepts, _, _ in _batch_verdict(jitted))
-    assert stats.gen_fallback_plans == 0
-    if not SMOKE:
-        # The issue's acceptance bar: tesla-jit with batch-per-key drain
-        # evaluation is >= 2x the compiled interpreter on this workload.
         assert speedup >= 2.0, speedup

@@ -7,17 +7,11 @@ record of common bounds and materialising instances lazily brought the
 microbenchmarks under 7× and builds under 10% overhead.
 
 Here "Pre" is the eager runtime (``lazy=False``) and "Post" the optimised
-one (``lazy=True``), both on compiled-plan dispatch (``codegen=False``, so
-the ablation isolates lazy initialisation from the default generated
-steps), measured over the MAC and PROC assertion sets
-(figure 13a's microbenchmark columns) and the OLTP and build
-macrobenchmarks under the full set (figure 13b).
-
-The shape test doubles as the repo's optimisation scoreboard: a third
-"jit" series stacks every later optimisation (compiled transition plans
-+ tesla-jit generated dispatch, DESIGN §5.5/§5.7) on the lazy runtime,
-so each PR's effect on the paper's headline workloads stays visible in
-one table.
+one (``lazy=True``), both on the default tesla-jit generated steps
+(DESIGN §5.7), so the ablation isolates lazy initialisation, measured
+over the MAC and PROC assertion sets (figure 13a's microbenchmark
+columns) and the OLTP and build macrobenchmarks under the full set
+(figure 13b).
 """
 
 from __future__ import annotations
@@ -83,7 +77,7 @@ def run_baseline_micro():
 @pytest.mark.parametrize("lazy", [False, True], ids=["pre", "post"])
 def test_fig13a_micro(benchmark, set_name, lazy):
     sets = assertion_sets()
-    session = Instrumenter(TeslaRuntime(lazy=lazy, codegen=False))
+    session = Instrumenter(TeslaRuntime(lazy=lazy))
     session.instrument(sets[set_name])
     kernel = KernelSystem()
     td = kernel.boot()
@@ -97,7 +91,7 @@ def test_fig13a_micro(benchmark, set_name, lazy):
 @pytest.mark.parametrize("lazy", [False, True], ids=["pre", "post"])
 def test_fig13b_macro(benchmark, workload, lazy):
     sets = assertion_sets()
-    session = Instrumenter(TeslaRuntime(lazy=lazy, codegen=False))
+    session = Instrumenter(TeslaRuntime(lazy=lazy))
     session.instrument(sets["All"])
     kernel = KernelSystem()
     td = kernel.boot()
@@ -112,25 +106,20 @@ def test_fig13b_macro(benchmark, workload, lazy):
 
 
 def test_fig13_shape(benchmark, results_dir):
-    PRE = dict(lazy=False, codegen=False)
-    POST = dict(lazy=True, codegen=False)
-    JIT = dict(lazy=True, compile=True, codegen=True)
+    PRE = dict(lazy=False)
+    POST = dict(lazy=True)
 
     def run():
         baseline = run_baseline_micro()
         rows = {
             "MAC micro (pre)": run_micro("M", **PRE),
             "MAC micro (post)": run_micro("M", **POST),
-            "MAC micro (jit)": run_micro("M", **JIT),
             "PROC micro (pre)": run_micro("P", **PRE),
             "PROC micro (post)": run_micro("P", **POST),
-            "PROC micro (jit)": run_micro("P", **JIT),
             "OLTP (pre)": run_macro("oltp", **PRE),
             "OLTP (post)": run_macro("oltp", **POST),
-            "OLTP (jit)": run_macro("oltp", **JIT),
             "Build (pre)": run_macro("build", **PRE),
             "Build (post)": run_macro("build", **POST),
-            "Build (jit)": run_macro("build", **JIT),
         }
         return baseline, rows
 
@@ -138,26 +127,22 @@ def test_fig13_shape(benchmark, results_dir):
     lines = [
         "Figure 13: performance improvements with the lazy optimisation",
         "--------------------------------------------------------------",
-        "(jit = lazy + compiled plans + tesla-jit generated dispatch)",
+        "(pre and post both run tesla-jit generated steps)",
         f"{'configuration':<20}{'seconds':>10}{'improvement':>13}",
     ]
     for prefix in ("MAC micro", "PROC micro", "OLTP", "Build"):
         pre = rows[f"{prefix} (pre)"]
+        post = rows[f"{prefix} (post)"]
         lines.append(f"{prefix + ' (pre)':<20}{pre:>10.4f}")
-        for tag in ("post", "jit"):
-            value = rows[f"{prefix} ({tag})"]
-            lines.append(
-                f"{prefix + f' ({tag})':<20}{value:>10.4f}"
-                f"{pre / value:>12.2f}x"
-            )
+        lines.append(
+            f"{prefix + ' (post)':<20}{post:>10.4f}{pre / post:>12.2f}x"
+        )
     lines.append(f"{'(uninstrumented micro':<20}{baseline:>10.4f})")
     emit(results_dir, "fig13_optimisation", "\n".join(lines))
 
-    # Shape: the optimisation helps everywhere, and stacking the compiled
-    # + generated dispatch path on top never gives the gain back...
+    # Shape: the optimisation helps everywhere...
     for prefix in ("MAC micro", "PROC micro", "OLTP", "Build"):
         assert rows[f"{prefix} (post)"] < rows[f"{prefix} (pre)"], prefix
-        assert rows[f"{prefix} (jit)"] < rows[f"{prefix} (pre)"], prefix
     # ...and helps the P-set microbenchmark dramatically: its 37 automata
     # share the syscall bound but are never touched by open/close, exactly
     # the common case the per-context bound record optimises away.

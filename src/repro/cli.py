@@ -738,7 +738,7 @@ def build_parser() -> argparse.ArgumentParser:
     replay_parser.add_argument(
         "--config",
         default="naive",
-        help="replay configuration: naive (default), lazy, compiled, deferred",
+        help="replay configuration: naive (default), lazy, codegen, deferred",
     )
     replay_parser.add_argument(
         "--manifest",

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..errors import AssertionParseError
 from .ast import (
@@ -32,27 +32,7 @@ from .ast import (
     InstrumentationSide,
 )
 from .events import EventKind, RuntimeEvent
-from .patterns import (
-    EMPTY_BINDING,
-    NO_MATCH,
-    UNBOUND,
-    Binding,
-    compile_args_matcher,
-    compile_pattern,
-    match_all,
-)
-
-#: A compiled event matcher: ``(event, binding) -> None | new-bindings``.
-#: Produced by :meth:`EventSymbol.compile_matcher`; the kind/name guards of
-#: the interpreted :meth:`EventSymbol.match` are elided because transition
-#: plans only ever route an event to matchers for its own dispatch key.
-EventMatcher = Callable[[RuntimeEvent, Binding], Optional[Binding]]
-
-
-def _match_nothing(event: RuntimeEvent, binding: Binding) -> Binding:
-    """Matcher for symbols with no argument constraints at all."""
-    return EMPTY_BINDING
-
+from .patterns import Binding, match_all
 
 class TransitionKind(enum.Enum):
     """The structural role of a transition: bound entry/exit, a symbolic
@@ -169,146 +149,6 @@ class EventSymbol:
             else:
                 new[var] = value
         return new
-
-    def compile_matcher(self) -> EventMatcher:
-        """Compile :meth:`match` into a closure for the transition-plan path.
-
-        The kind/name guards are deliberately elided: plans are built per
-        dispatch key, so a compiled matcher is only ever invoked on events
-        whose (kind, name) already equal this symbol's.  Everything else —
-        argument patterns, return-value patterns, assign-op checks,
-        site-scope variable checks — is resolved here once, so the per-event
-        work is a chain of comparisons with no isinstance dispatch.
-        """
-        expr = self.expr
-        if isinstance(expr, FunctionCall):
-            if expr.args is None:
-                return _match_nothing
-            args_m = compile_args_matcher(expr.args)
-
-            def match_call(event: RuntimeEvent, binding: Binding, _a=args_m):
-                return _a(event.args, binding)
-
-            return match_call
-        if isinstance(expr, FunctionReturn):
-            args_m = (
-                compile_args_matcher(expr.args)
-                if expr.args is not None
-                else None
-            )
-            ret_m = (
-                compile_pattern(expr.retval)
-                if expr.retval is not None
-                else None
-            )
-            if args_m is None and ret_m is None:
-                return _match_nothing
-            if ret_m is None:
-
-                def match_return_args(
-                    event: RuntimeEvent, binding: Binding, _a=args_m
-                ):
-                    return _a(event.args, binding)
-
-                return match_return_args
-            if args_m is None:
-
-                def match_return_ret(
-                    event: RuntimeEvent, binding: Binding, _r=ret_m
-                ):
-                    return _r(event.retval, binding)
-
-                return match_return_ret
-
-            def match_return(
-                event: RuntimeEvent, binding: Binding, _a=args_m, _r=ret_m
-            ):
-                new = _a(event.args, binding)
-                if new is NO_MATCH:
-                    return NO_MATCH
-                if new:
-                    scratch = dict(binding)
-                    scratch.update(new)
-                    got = _r(event.retval, scratch)
-                else:
-                    got = _r(event.retval, binding)
-                if got is NO_MATCH:
-                    return NO_MATCH
-                if not got:
-                    return new
-                if not new:
-                    return got
-                merged = dict(new)
-                merged.update(got)
-                return merged
-
-            return match_return
-        if isinstance(expr, FieldAssign):
-            op = expr.op
-            target_m = (
-                compile_pattern(expr.target)
-                if expr.target is not None
-                else None
-            )
-            value_m = (
-                compile_pattern(expr.value) if expr.value is not None else None
-            )
-
-            def match_field(
-                event: RuntimeEvent,
-                binding: Binding,
-                _op=op,
-                _t=target_m,
-                _v=value_m,
-            ):
-                if _op is not None and event.op is not _op:
-                    return NO_MATCH
-                new = EMPTY_BINDING
-                if _t is not None:
-                    new = _t(event.target, binding)
-                    if new is NO_MATCH:
-                        return NO_MATCH
-                if _v is not None:
-                    if new:
-                        scratch = dict(binding)
-                        scratch.update(new)
-                        got = _v(event.retval, scratch)
-                    else:
-                        got = _v(event.retval, binding)
-                    if got is NO_MATCH:
-                        return NO_MATCH
-                    if got:
-                        if new:
-                            merged = dict(new)
-                            merged.update(got)
-                            return merged
-                        return got
-                return new
-
-            return match_field
-        # Assertion site.
-        variables = self.site_variables
-
-        def match_site(
-            event: RuntimeEvent, binding: Binding, _vars=variables
-        ):
-            scope = event.scope
-            new: Optional[Binding] = None
-            for var in _vars:
-                if var not in scope:
-                    continue
-                value = scope[var]
-                bound = binding.get(var, UNBOUND)
-                if bound is UNBOUND:
-                    if new is None:
-                        new = {var: value}
-                    else:
-                        new[var] = value
-                elif not (bound is value or bound == value):
-                    return NO_MATCH
-            return new if new else EMPTY_BINDING
-
-        return match_site
 
     def describe(self) -> str:
         return self.expr.describe()

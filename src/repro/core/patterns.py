@@ -30,16 +30,13 @@ NO_MATCH = None
 #: An (im)mutable variable binding: variable name -> observed value.
 Binding = Dict[str, Any]
 
-#: A compiled pattern: ``match(value, binding) -> None | new-bindings``.
-MatchFn = Callable[[Any, Binding], Optional[Binding]]
-
-#: Shared empty binding returned by compiled matchers for matches that
-#: learn nothing.  Consumers treat match results as read-only (the runtime
+#: Shared empty binding generated steps use for matches that learn
+#: nothing.  Consumers treat match results as read-only (the runtime
 #: copies before extending a binding), so one shared dict keeps the hot
 #: path allocation-free.  Never mutate it.
 EMPTY_BINDING: Binding = {}
 
-#: Sentinel distinguishing "unbound" from "bound to None" in compiled
+#: Sentinel distinguishing "unbound" from "bound to None" in generated
 #: variable lookups.
 UNBOUND = object()
 
@@ -247,127 +244,6 @@ def match_all(
     return new
 
 
-# ---------------------------------------------------------------------------
-# Compilation: patterns → plain closures (the §5.2 per-event fast path)
-# ---------------------------------------------------------------------------
-
-
-def _match_any(value: Any, binding: Binding) -> Binding:
-    return EMPTY_BINDING
-
-
-def compile_pattern(pattern: Pattern) -> MatchFn:
-    """Compile ``pattern.match`` into a plain closure.
-
-    Semantically identical to the ``match`` methods, but the pattern's type
-    and parameters are resolved once here instead of through attribute
-    loads and virtual dispatch on every event.  Matches that learn nothing
-    return the shared :data:`EMPTY_BINDING`; only variable-binding matches
-    allocate.  Unknown :class:`Pattern` subclasses fall back to their own
-    bound ``match`` method, so compilation never changes behaviour.
-    """
-    if isinstance(pattern, Any_):
-        return _match_any
-    if isinstance(pattern, Const):
-        expected = pattern.value
-
-        def match_const(value: Any, binding: Binding, _e=expected):
-            return EMPTY_BINDING if value == _e else NO_MATCH
-
-        return match_const
-    if isinstance(pattern, Var):
-        name = pattern.name
-
-        def match_var(value: Any, binding: Binding, _n=name):
-            bound = binding.get(_n, UNBOUND)
-            if bound is UNBOUND:
-                return {_n: value}
-            if bound is value or bound == value:
-                return EMPTY_BINDING
-            return NO_MATCH
-
-        return match_var
-    if isinstance(pattern, Flags):
-        flags = pattern.flags
-
-        def match_flags(value: Any, binding: Binding, _f=flags):
-            if isinstance(value, int) and (value & _f) == _f:
-                return EMPTY_BINDING
-            return NO_MATCH
-
-        return match_flags
-    if isinstance(pattern, Bitmask):
-        inverse = ~pattern.mask
-
-        def match_bitmask(value: Any, binding: Binding, _inv=inverse):
-            if isinstance(value, int) and (value & _inv) == 0:
-                return EMPTY_BINDING
-            return NO_MATCH
-
-        return match_bitmask
-    if isinstance(pattern, AddressOf):
-        inner = compile_pattern(pattern.inner)
-
-        def match_addr(value: Any, binding: Binding, _inner=inner):
-            if not isinstance(value, Ref):
-                return NO_MATCH
-            return _inner(value.value, binding)
-
-        return match_addr
-    return pattern.match
-
-
-def compile_args_matcher(
-    patterns: Tuple[Pattern, ...],
-) -> Callable[[Tuple[Any, ...], Binding], Optional[Binding]]:
-    """Compiled equivalent of :func:`match_all` for a fixed pattern tuple.
-
-    When no pattern binds variables (the common case for bound events and
-    constant argument filters), the returned closure never touches the
-    binding and never allocates — it is a chain of comparisons.
-    """
-    matchers = tuple(compile_pattern(p) for p in patterns)
-    arity = len(matchers)
-    if not any(p.variables for p in patterns):
-
-        def match_static_tuple(values: Tuple[Any, ...], binding: Binding):
-            if len(values) != arity:
-                return NO_MATCH
-            for m, v in zip(matchers, values):
-                if m(v, EMPTY_BINDING) is NO_MATCH:
-                    return NO_MATCH
-            return EMPTY_BINDING
-
-        return match_static_tuple
-
-    def match_tuple(values: Tuple[Any, ...], binding: Binding):
-        if len(values) != arity:
-            return NO_MATCH
-        new: Optional[Binding] = None
-        for m, v in zip(matchers, values):
-            if new:
-                scratch = dict(binding)
-                scratch.update(new)
-                got = m(v, scratch)
-            else:
-                got = m(v, binding)
-            if got is NO_MATCH:
-                return NO_MATCH
-            if got:
-                if new:
-                    for name, bound in got.items():
-                        if name in new and not (
-                            new[name] is bound or new[name] == bound
-                        ):
-                            return NO_MATCH
-                        new[name] = bound
-                else:
-                    new = dict(got)
-        return new if new else EMPTY_BINDING
-
-    return match_tuple
-
-
 def compile_static_check(pattern: Pattern) -> Optional[Callable[[Any], bool]]:
     """The statically checkable part of a pattern, as a predicate.
 
@@ -379,9 +255,8 @@ def compile_static_check(pattern: Pattern) -> Optional[Callable[[Any], bool]]:
     """
     if isinstance(pattern, (Var, Any_)):
         return None
-    matcher = compile_pattern(pattern)
 
-    def check(value: Any, _m=matcher) -> bool:
-        return _m(value, EMPTY_BINDING) is not NO_MATCH
+    def check(value: Any, _match=pattern.match) -> bool:
+        return _match(value, EMPTY_BINDING) is not NO_MATCH
 
     return check

@@ -108,12 +108,12 @@ class StackAggregator:
 
 @dataclass(frozen=True)
 class DispatchStats:
-    """Effectiveness counters for the compiled event fast path.
+    """Effectiveness counters for the event fast path.
 
     The interest counters (``hook_*``/``interpose_*``) are process-global —
     hook points and the interposition table are process-wide registries —
-    while the plan counters are summed over one runtime's class runtimes
-    across every store (the global store and per-thread stores).
+    while the step-cache counters are summed over one runtime's class
+    runtimes across every store (the global store and per-thread stores).
     """
 
     compiled: bool
@@ -122,9 +122,6 @@ class DispatchStats:
     hook_refreshes: int
     interpose_short_circuits: int
     interpose_refreshes: int
-    plan_hits: int
-    plan_misses: int
-    cached_plans: int
     #: Deferred-pipeline counters (all zero for synchronous runtimes).
     #: ``queue_depth`` is sampled live — ``dispatch_stats`` deliberately
     #: does *not* flush, so a non-zero depth is the backlog right now.
@@ -140,13 +137,12 @@ class DispatchStats:
     flush_seconds: float = 0.0
     last_flush_seconds: float = 0.0
     #: tesla-jit counters (all zero when generated steps are off, i.e.
-    #: ``compile=False`` or ``codegen=False``).  ``gen_fallback_plans``
-    #: counts *plans* the generator declined (cached as fallbacks),
-    #: ``gen_fallback_hits`` counts events those plans carried through
-    #: the interpreter; ``gen_code_hits``/``gen_code_misses`` split the
-    #: generated steps by whether the process-wide code cache already
-    #: held their compiled source.
-    codegen: bool = False
+    #: ``compile=False``).  ``gen_fallback_plans`` counts *plans* the
+    #: generator declined (cached as fallbacks), ``gen_fallback_hits``
+    #: counts events those plans carried through the interpreter;
+    #: ``gen_code_hits``/``gen_code_misses`` split the generated steps by
+    #: whether the process-wide code cache already held their compiled
+    #: source.
     gen_hits: int = 0
     gen_misses: int = 0
     gen_fallback_plans: int = 0
@@ -163,6 +159,18 @@ class DispatchStats:
     #: surfaced *without* a successor event.
     timer_checks: int = 0
     timer_expiries: int = 0
+
+    @property
+    def plan_hits(self) -> int:
+        """Per-(class, key) step-cache lookups that found an entry,
+        generated or fallback.  The one per-class cache is the step
+        cache; the name is kept for metric continuity."""
+        return self.gen_hits + self.gen_fallback_hits
+
+    @property
+    def plan_misses(self) -> int:
+        """Step-cache lookups that generated (or declined) a new entry."""
+        return self.gen_misses
 
     @property
     def plan_hit_ratio(self) -> float:
@@ -184,7 +192,6 @@ def dispatch_stats(runtime) -> DispatchStats:
     stays import-light like the rest of the introspection layer)."""
     from ..runtime.epoch import interest_epoch, interest_stats
 
-    plan_hits = plan_misses = cached_plans = 0
     gen_hits = gen_misses = gen_fallback_plans = gen_fallback_hits = 0
     gen_code_hits = gen_code_misses = cached_steps = 0
     gen_elided_guards = gen_elided_transitions = 0
@@ -193,9 +200,6 @@ def dispatch_stats(runtime) -> DispatchStats:
     stores.extend(runtime.thread_stores.all_stores())
     for store in stores:
         for cr in store:
-            plan_hits += cr.plan_hits
-            plan_misses += cr.plan_misses
-            cached_plans += cr.plan_cache_size
             gen_hits += cr.gen_hits
             gen_misses += cr.gen_misses
             gen_fallback_plans += cr.gen_fallback_plans
@@ -230,10 +234,6 @@ def dispatch_stats(runtime) -> DispatchStats:
         hook_refreshes=interest_stats.hook_refreshes,
         interpose_short_circuits=interest_stats.interpose_short_circuits,
         interpose_refreshes=interest_stats.interpose_refreshes,
-        plan_hits=plan_hits,
-        plan_misses=plan_misses,
-        cached_plans=cached_plans,
-        codegen=getattr(runtime, "codegen", False),
         gen_hits=gen_hits,
         gen_misses=gen_misses,
         gen_fallback_plans=gen_fallback_plans,
@@ -256,14 +256,14 @@ def codegen_report(runtime) -> Optional[dict]:
     often the process-wide code cache spared a ``compile()``.
 
     Returns ``None`` for runtimes that do not run generated steps
-    (``compile=False``, or an explicit ``codegen=False``).  Counts are per
-    *key label* (``kind:name``) aggregated over every class runtime
-    holding a cached step for that key — a key observed by three classes
-    that all generated shows ``3``.  ``code_cache_hits``/``_misses`` are
+    (``compile=False``).  Counts are per *key label* (``kind:name``)
+    aggregated over every class runtime holding a cached step for that
+    key — a key observed by three classes that all generated shows
+    ``3``.  ``code_cache_hits``/``_misses`` are
     this runtime's generations; ``code_cache_size`` is the process-wide
     cache's occupancy against its bound ``code_cache_bound``.
     """
-    if not getattr(runtime, "codegen", False):
+    if not getattr(runtime, "compiled", False):
         return None
     from ..runtime.codegen import CODE_CACHE_SIZE, code_cache_size
 
@@ -320,20 +320,15 @@ def governor_report(runtime) -> Optional[dict]:
 
 def format_dispatch_stats(stats: DispatchStats) -> str:
     """A printable summary of how well the dispatch caches are working."""
-    mode = "compiled" if stats.compiled else "interpreted"
-    if stats.codegen:
-        mode = "codegen (tesla-jit)"
+    mode = "codegen (tesla-jit)" if stats.compiled else "interpreted"
     lines = [
         f"dispatch mode        {mode} (interest epoch {stats.epoch})",
         f"hook interest        {stats.hook_short_circuits} short-circuits, "
         f"{stats.hook_refreshes} cache refreshes",
         f"interpose interest   {stats.interpose_short_circuits} "
         f"short-circuits, {stats.interpose_refreshes} cache refreshes",
-        f"transition plans     {stats.plan_hits} hits / "
-        f"{stats.plan_misses} misses ({stats.plan_hit_ratio:.1%} hit "
-        f"ratio), {stats.cached_plans} plans resident",
     ]
-    if stats.codegen:
+    if stats.compiled:
         lines.append(
             f"generated steps      {stats.gen_hits} hits / "
             f"{stats.gen_misses} misses ({stats.gen_hit_ratio:.1%} hit "

@@ -69,8 +69,7 @@ class HealthReport:
     prove: Optional[dict] = None
     #: tesla-jit summary (DESIGN §5.7): per-key generated/fallback counts,
     #: elision totals, generation cost and code-cache traffic; ``None``
-    #: when the runtime runs no generated steps (``compile=False`` or an
-    #: explicit ``codegen=False``).
+    #: when the runtime runs no generated steps (``compile=False``).
     codegen: Optional[dict] = None
     #: Overhead-governor summary (DESIGN §5.8): budget, measured spend
     #: ratios, per-class cost ranking with shedding-ladder state, recent

@@ -5,7 +5,7 @@ merged event stream; this package turns a recorded window back into
 verdicts without the original process:
 
 * :class:`~repro.replay.engine.ReplayEngine` re-runs any journal prefix
-  through any runtime configuration — naive interpreter, compiled plans,
+  through any runtime configuration — naive interpreter, generated steps,
   deferred — and can dump every automaton's instances and state sets at a
   chosen seqno ("show me the monitor just before this violation").
 * :mod:`~repro.replay.ltl_oracle` evaluates the ``tesla_ltl_map``-style

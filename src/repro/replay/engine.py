@@ -35,10 +35,8 @@ __all__ = ["REPLAY_CONFIGS", "ClassVerdict", "ReplayEngine", "ReplayResult"]
 REPLAY_CONFIGS: Dict[str, Dict[str, Any]] = {
     "naive": dict(lazy=False, compile=False),
     "lazy": dict(lazy=True, compile=False),
-    "compiled": dict(lazy=True, compile=True, codegen=False),
-    "codegen": dict(lazy=True, compile=True, codegen=True),
-    "deferred": dict(lazy=True, compile=True, codegen=False,
-                     deferred="manual"),
+    "codegen": dict(lazy=True, compile=True),
+    "deferred": dict(lazy=True, compile=True, deferred="manual"),
 }
 
 #: Automata are immutable once translated (all mutable state lives in the

@@ -259,7 +259,7 @@ def _walk(expr) -> Iterator[Expression]:
 
 # ---------------------------------------------------------------------------
 # Concrete-event matching (mirrors the symbol-match semantics, but written
-# against the AST directly — no EventSymbol, no compiled matchers)
+# against the AST directly — no EventSymbol, no generated steps)
 # ---------------------------------------------------------------------------
 
 

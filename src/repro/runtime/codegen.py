@@ -1,26 +1,22 @@
 """tesla-jit: compile :class:`TransitionPlan` objects to generated Python.
 
-The compiled fast path (DESIGN §5.2) still *interprets* a chain of
-closures per event: ``plan.enabled`` probes each body triple, each triple
-calls a compiled matcher closure, and every match result is re-examined
-by ``tesla_update_state``.  This module goes one step further and emits
-specialized Python *source* per (automaton, dispatch-key) plan — matcher
-checks, bind extraction and transition application fused into a single
-``exec``-compiled function with no per-step closure dispatch:
+The naive interpreter (``tesla_update_state``) re-derives, on every
+event, facts that depend only on the automaton and the event's dispatch
+key: ``Automaton.enabled`` scans every outgoing transition of every
+current state, re-checks kind and name, and walks each symbol's pattern
+AST.  This module emits specialized Python *source* per (automaton,
+dispatch-key) plan instead — matcher checks, bind extraction and
+transition application fused into a single ``exec``-compiled function:
 
 * event-static work (arity checks, ``Const``/``Flags``/``Bitmask``/
   ``AddressOf`` filters, ``Var`` value extraction) is hoisted out of the
   instance loop and evaluated once per event;
-* the per-instance loop is unrolled over the plan's body triples, with
-  the dominant single-match/no-new-binding case stepped inline
-  (``frozenset`` state update + transition counting, no function calls);
+* the per-instance loop is unrolled over the plan's body transitions,
+  with the dominant single-match case stepped inline (``frozenset``
+  state update + transition counting, no function calls);
 * multi-match and clone-producing cases delegate to
   :func:`_instance_slow_step`, which reuses the interpreter's own
-  ``_step``/dedupe/clone machinery so verdicts stay bit-identical;
-* a batch variant ``step_batch(cr, events, hub)`` evaluates an entire
-  drain sub-batch for one key in one call, amortizing the per-event
-  dispatch overhead the deferred pipeline (DESIGN §5.4) pays 100k+ times
-  a second.
+  ``_step``/dedupe/clone machinery so verdicts stay bit-identical.
 
 Lint facts (DESIGN §5.5) feed the generator: under a lint-clean report,
 arity guards re-proven by ``arity_safe`` are simply never emitted, and
@@ -30,12 +26,13 @@ dropped from the generated code entirely — guard elision extended from
 "skip a check" to "the check never exists".
 
 The generator is deliberately *loud* about its limits: any plan it
-cannot specialize (an unknown :class:`Pattern` subclass, an exotic
-event expression) yields a :class:`GenerationFallback` carrying the
-reason, the caller falls back to the compiled interpreter, and the
-fallback is counted in ``dispatch_stats``.  A generated function also
-bails out to the interpreter at call time whenever fault injection is
-armed or the notification hub is in detailed mode — both paths need the
+cannot specialize (a timed automaton, an unknown :class:`Pattern`
+subclass, an exotic event expression) yields a
+:class:`GenerationFallback` carrying the reason, the caller falls back to
+the naive interpreter, and the fallback is counted in
+``dispatch_stats``.  A generated function also bails out to the
+interpreter at call time whenever fault injection is armed or the
+notification hub is in detailed mode — both paths need the
 interpreter's exact checkpoint/notification sequence, which the lean
 generated code deliberately omits (it emits only the always-on ERROR
 and OVERFLOW notifications).
@@ -81,7 +78,7 @@ from ..core.patterns import (
 from ..errors import TemporalViolation
 from . import faultinject as _fi
 from .notify import Notification, NotificationKind
-from .plans import PlanKey, TransitionPlan
+from .plans import PlanKey, TransitionPlan, build_transition_plan
 from .update import (
     _already_satisfied as _upd_already_satisfied,
     _materialise,
@@ -91,8 +88,9 @@ from .update import (
 )
 
 #: Bump on any change to the generated source layout (see the golden
-#: fixture's upgrade protocol in ``tests/unit/runtime/test_codegen.py``).
-CODEGEN_VERSION = 1
+#: fixture's upgrade protocol in
+#: ``tests/unit/runtime/test_codegen_golden.py``).
+CODEGEN_VERSION = 2
 
 #: Sentinel for "this symbol did not match" in generated code.  Distinct
 #: from ``None`` so generated locals can never be confused with a
@@ -151,6 +149,27 @@ class CodegenFacts:
             ),
         )
 
+    def share_for(self, automaton: Automaton) -> "CodegenFacts":
+        """The part of these facts the generator can consult for one
+        automaton: ``clean``, the ``arity_safe`` pairs its symbols name,
+        and its own ``occupancy`` entry.  Generating under the share
+        gives byte-identical source to generating under the whole."""
+        named = set()
+        for symbol in automaton.symbols:
+            expr = symbol.expr
+            if isinstance(expr, (FunctionCall, FunctionReturn)) and (
+                expr.args is not None
+            ):
+                named.add((expr.function, len(expr.args)))
+        occupancy = self.occupancy.get(automaton.name)
+        return CodegenFacts(
+            clean=self.clean,
+            arity_safe=self.arity_safe & named,
+            occupancy=(
+                () if occupancy is None else ((automaton.name, occupancy),)
+            ),
+        )
+
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, CodegenFacts)
@@ -183,14 +202,13 @@ class GenerationFallback:
     """Why a plan could not be specialized (stored in the step cache so
     the decision is made once per key, not per event).
 
-    ``step``/``step_batch`` are ``None`` class attributes so cache
-    consumers discriminate with one attribute load, no isinstance.
+    ``step`` is a ``None`` class attribute so cache consumers
+    discriminate with one attribute load, no isinstance.
     """
 
     __slots__ = ("reason",)
 
     step = None
-    step_batch = None
 
     def __init__(self, reason: str) -> None:
         self.reason = reason
@@ -226,16 +244,14 @@ class GeneratedSource:
 
 
 class CompiledStep:
-    """An ``exec``-compiled plan: the fused per-event function and its
-    batch variant, plus the generation accounting.  ``code_cached`` says
-    whether the source's code object came from :data:`_CODE_CACHE`.  The
-    source text itself is not kept: :data:`_CODE_CACHE` holds one copy per
-    distinct source, and ``generate_source`` reproduces it byte for
-    byte."""
+    """An ``exec``-compiled plan: the fused per-event function plus the
+    generation accounting.  ``code_cached`` says whether the source's
+    code object came from :data:`_CODE_CACHE`.  The source text itself is
+    not kept: :data:`_CODE_CACHE` holds one copy per distinct source, and
+    ``generate_source`` reproduces it byte for byte."""
 
     __slots__ = (
         "step",
-        "step_batch",
         "elided_guards",
         "elided_transitions",
         "code_cached",
@@ -244,13 +260,11 @@ class CompiledStep:
     def __init__(
         self,
         step,
-        step_batch,
         elided_guards: int,
         elided_transitions: int,
         code_cached: bool = False,
     ) -> None:
         self.step = step
-        self.step_batch = step_batch
         self.elided_guards = elided_guards
         self.elided_transitions = elided_transitions
         self.code_cached = code_cached
@@ -261,14 +275,15 @@ class CompiledStep:
 # ---------------------------------------------------------------------------
 
 
-def _instance_slow_step(cr, instance, matched_pairs, hub, event, clones, enabled):
+def _instance_slow_step(cr, instance, matched_pairs, hub, event, clones):
     """The multi-match / clone-producing tail of the instance walk.
 
     Byte-for-byte the same algorithm as the general branch of
     ``tesla_update_state`` (split by new bindings, dedupe extensions,
-    clone, re-step the clone), reusing the interpreter's ``_step`` so
-    transition counting and site accounting stay identical.  Returns
-    ``(any_progress, site_taken)`` for this instance.
+    clone, re-step the clone through ``Automaton.enabled``), reusing the
+    interpreter's ``_step`` so transition counting and site accounting
+    stay identical.  Returns ``(any_progress, site_taken)`` for this
+    instance.
     """
     progress = False
     site = False
@@ -292,7 +307,9 @@ def _instance_slow_step(cr, instance, matched_pairs, hub, event, clones, enabled
         ):
             continue
         clone = instance.clone(extension)
-        clone_matches = enabled(clone.states, event, clone.binding)
+        clone_matches = cr.automaton.enabled(
+            clone.states, event, clone.binding
+        )
         complete = [t for t, new in clone_matches if not new]
         if complete:
             progress = True
@@ -642,22 +659,16 @@ def _emit_event_body(
     body: List[Tuple[int, Transition, int]],
     symbol_plans: Dict[int, _SymbolPlan],
     triple_consts: List[Tuple[str, str, str, str, bool]],
-    hoist_pending: bool = False,
 ) -> None:
-    """Emit the per-event evaluation (prologue, instance walk, endgame)
-    at indentation ``base`` — shared between ``step`` and the event loop
-    of ``step_batch``.  ``hoist_pending=True`` skips the lazy-materialise
-    check (the batch variant performs it once before its event loop:
-    ``cr.pending`` is only ever set by a lazy join, which the dispatcher
-    runs before ``step_batch``, never during it)."""
+    """Emit the per-event evaluation (lazy materialise, prologue,
+    instance walk, endgame) at indentation ``base``."""
     kind = key[0]
     is_site_key = kind is EventKind.ASSERTION_SITE
     strict = automaton.strict
 
-    if not hoist_pending:
-        em.emit(base, "if cr.pending:")
-        em.emit(base + 1, "cr.pending = False")
-        em.emit(base + 1, "_mat(cr, hub, dict(cr.lazy_binding))")
+    em.emit(base, "if cr.pending:")
+    em.emit(base + 1, "cr.pending = False")
+    em.emit(base + 1, "_mat(cr, hub, dict(cr.lazy_binding))")
 
     if not body:
         # Every body transition was elided (or the plan was empty): no
@@ -768,7 +779,7 @@ def _emit_event_body(
         em.emit(base + 3, f"_mt.append(({tr_c}, {m}))")
     em.emit(
         base + 1,
-        "_p, _s = _slow(cr, instance, _mt, hub, event, _clones, _enabled)",
+        "_p, _s = _slow(cr, instance, _mt, hub, event, _clones)",
     )
     em.emit(base + 1, "if _p:")
     em.emit(base + 2, "_prog = True")
@@ -814,7 +825,7 @@ def generate_source(
     plan: TransitionPlan,
     facts: Optional[CodegenFacts] = None,
 ) -> GeneratedSource:
-    """Generate specialized step/step_batch source for one plan.
+    """Generate specialized step source for one plan.
 
     Returns a :class:`GeneratedSource`; an unspecializable plan yields
     one with ``fallback_reason`` set and no source.
@@ -829,7 +840,7 @@ def generate_source(
             # and clock-guard filtering, which live in the interpreter's
             # tesla_update_state; a generated step would bypass both.
             # Refuse every plan of a timed automaton — the loud, counted
-            # fallback keeps verdicts exact at interpreter speed.
+            # fallback keeps verdicts exact at naive-interpreter speed.
             raise _Unsupported("timed-automaton:clock-guards")
         occupiable = _occupiable_states(automaton)
         # tesla-prove widening: an occupancy fact intersects the forward
@@ -841,7 +852,7 @@ def generate_source(
         may_elide = facts.clean or proved_occ is not None
         body: List[Tuple[int, Transition, int]] = []
         elided_transitions = 0
-        for src, transition, _matcher in plan.body:
+        for src, transition in plan.body:
             if may_elide and src not in occupiable:
                 elided_transitions += 1
                 continue
@@ -882,40 +893,23 @@ def generate_source(
     em.lines.append(header)
     em.emit(0, "def step(cr, event, hub):")
     em.emit(1, "if _fi._active is not None or hub.detailed:")
-    em.emit(2, "return _interp(cr, event, hub, True, _plan)")
+    em.emit(2, "return _interp(cr, event, hub)")
     em.emit(1, "if not cr.active:")
     em.emit(2, "return")
     em.emit(1, "_pool = cr.pool")
     _emit_event_body(em, 1, automaton, key, body, symbol_plans, triple_consts)
-    em.emit(0, "")
-    em.emit(0, "def step_batch(cr, events, hub):")
-    em.emit(1, "if _fi._active is not None or hub.detailed:")
-    em.emit(2, "for event in events:")
-    em.emit(3, "_interp(cr, event, hub, True, _plan)")
-    em.emit(2, "return")
-    em.emit(1, "if not cr.active:")
-    em.emit(2, "return")
-    em.emit(1, "_pool = cr.pool")
-    em.emit(1, "if cr.pending:")
-    em.emit(2, "cr.pending = False")
-    em.emit(2, "_mat(cr, hub, dict(cr.lazy_binding))")
-    em.emit(1, "for event in events:")
-    _emit_event_body(em, 2, automaton, key, body, symbol_plans, triple_consts,
-                     hoist_pending=True)
 
     namespace = dict(em.namespace)
     namespace.update(
         {
             "_fi": _fi,
             "_interp": tesla_update_state,
-            "_plan": plan,
             "_mat": _materialise,
             "_slow": _instance_slow_step,
             "_addc": _add_clones,
             "_already": _upd_already_satisfied,
             "_serr": _site_error,
             "_xerr": _strict_error,
-            "_enabled": plan.enabled,
             "_E": EMPTY_BINDING,
             "_NO": _NO,
             "_UB": UNBOUND,
@@ -982,7 +976,6 @@ def compile_plan_step(
     exec(code, namespace)
     return CompiledStep(
         step=namespace["step"],
-        step_batch=namespace["step_batch"],
         elided_guards=generated.elided_guards,
         elided_transitions=generated.elided_transitions,
         code_cached=cached,
@@ -994,8 +987,6 @@ def dump_sources(
 ) -> List[Tuple[PlanKey, GeneratedSource]]:
     """Generated source for every body dispatch key of one automaton,
     in deterministic key order (the CLI's ``codegen --dump`` surface)."""
-    from .plans import build_transition_plan
-
     keys = set()
     for t in automaton.transitions:
         if t.kind not in (TransitionKind.EVENT, TransitionKind.SITE):

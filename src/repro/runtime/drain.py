@@ -7,7 +7,7 @@ sorts the combined batch by global sequence number (recovering an
 interleaving consistent with each thread's program order) and feeds it to
 :meth:`~repro.runtime.manager.TeslaRuntime.dispatch_batch` — the same
 batched ingestion the synchronous runtime offers, so the global lock,
-compiled plans, supervision and quarantine all compose unchanged.
+generated steps, supervision and quarantine all compose unchanged.
 
 Two drain modes:
 

@@ -1,6 +1,6 @@
 """The interest-set epoch: one clock invalidating every interest cache.
 
-The compiled fast path (section 5.2's "do less work per event" family of
+The event fast path (section 5.2's "do less work per event" family of
 optimisations) caches two kinds of derived state that depend on who is
 listening:
 
@@ -11,9 +11,9 @@ listening:
 * the :class:`~repro.instrument.interpose.InterpositionTable` caches, per
   selector, the hooks whose sinks still care about that selector.
 
-(Per-class transition plans and generated steps are pure functions of
-their automaton and dispatch key, so they are keyed by content and never
-consult the epoch — DESIGN §5.7.)
+(Per-class generated steps are pure functions of their automaton,
+dispatch key and facts, so they are keyed by content and never consult
+the epoch — DESIGN §5.7.)
 
 Both verdicts depend on *which automata classes are attached where*,
 which changes rarely (installation, ``uninstrument()``, test teardown) but

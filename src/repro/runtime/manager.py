@@ -38,7 +38,6 @@ from ..core.automaton import Automaton, TransitionKind
 from ..core.events import EventKind, RuntimeEvent
 from ..core.translate import translate_all
 from ..errors import ContextError, TemporalAssertionError
-from . import faultinject as _fi
 from .clock import as_clock
 from .drain import OVERFLOW_POLICIES, DrainController
 from .epoch import interest_epoch
@@ -169,7 +168,6 @@ class TeslaRuntime:
         capacity: int = DEFAULT_CAPACITY,
         policy: Optional[ErrorPolicy] = None,
         compile: bool = True,
-        codegen: Optional[bool] = None,
         failure_policy: Optional[FailurePolicy] = None,
         deferred: object = False,
         overflow_policy: str = "flush",
@@ -237,26 +235,16 @@ class TeslaRuntime:
             raise ValueError(
                 f"prove must be 'off', 'report' or 'prune', got {prove!r}"
             )
-        if codegen is None:
-            codegen = compile
-        elif codegen and not compile:
-            raise ValueError(
-                "codegen=True generates specialized code from compiled "
-                "transition plans; it requires compile=True"
-            )
         self.lazy = lazy
-        #: Whether dispatch uses compiled per-(class, key) transition plans
-        #: (the §5.2-style fast path) or the interpreted engine.  Both
-        #: produce identical verdicts; ``compile=False`` is the
-        #: paper-faithful baseline the benchmarks compare against.
+        #: Which step engine body dispatch uses.  ``True`` (the default)
+        #: runs tesla-jit's exec-generated per-(class, key) step functions
+        #: (DESIGN §5.7), falling back (loudly, counted) to the naive
+        #: interpreter for any key the generator can't specialize.
+        #: ``False`` runs the naive interpreter throughout: the
+        #: paper-faithful baseline the benchmarks compare against and the
+        #: reference the differential tests and replay check.  Both give
+        #: identical verdicts.
         self.compiled = compile
-        #: tesla-jit (DESIGN §5.7): body dispatch runs exec-generated
-        #: per-(class, key) step functions instead of the interpreted
-        #: plan walk, falling back (loudly, counted) to the compiled
-        #: interpreter for any plan the generator can't specialize.
-        #: Defaults to ``compile``: generated steps are the production
-        #: engine, ``compile=False`` the naive interpreter.
-        self.codegen = codegen
         #: Memoized :class:`~repro.runtime.codegen.CodegenFacts` snapshot;
         #: ``None`` until first needed and again whenever an install grows
         #: the lint or prove report.
@@ -401,6 +389,12 @@ class TeslaRuntime:
         _live_runtimes.add(self)
 
     @property
+    def codegen(self) -> bool:
+        """Read-only alias of :attr:`compiled` (whether generated steps
+        run); ``perfbench`` records it in each run's provenance."""
+        return self.compiled
+
+    @property
     def shard_count(self) -> int:
         """Always 1.  The global store is one lock; the property remains
         only because ``perfbench`` records it in each run's provenance."""
@@ -446,13 +440,12 @@ class TeslaRuntime:
                 raise
 
     def _charge(
-        self, gov: OverheadGovernor, name: str, seconds: float,
-        events: int = 1,
+        self, gov: OverheadGovernor, name: str, seconds: float
     ) -> None:
         """Attribute measured evaluation time to a class's cost ledger,
         with the same trip-and-contain fail-safety as ``_govern``."""
         try:
-            gov.charge(name, seconds, events)
+            gov.charge(name, seconds)
         except TemporalAssertionError:
             raise
         except Exception as exc:
@@ -829,38 +822,11 @@ class TeslaRuntime:
 
     def _run_batch(self, work) -> None:
         """Replay ``dispatch_batch``'s work list in order (caller holds the
-        global lock if any entry has a global share).
-
-        Batch-per-key fast path (tesla-jit): consecutive entries that
-        share a dispatch key, touch exactly one global class, carry no
-        init/cleanup work and no thread-local share are evaluated by that
-        class's generated ``step_batch`` in ONE call, amortising the
-        per-event dispatch overhead of the drain.  Restricting runs to
-        single-class pure-body work keeps every observable stream exact:
-        with one class there is nothing to reorder, and with no
-        init/cleanup the tracker state is constant across the run, so one
-        lazy join covers it.  Armed fault injection falls back to
-        per-event dispatch so fault streams are byte-identical.
-        """
+        global lock if any entry has a global share)."""
         gs = self.global_store
         store, tracker = gs.store, gs.tracker
         local_store = local_tracker = None
-        batching = self.codegen and _fi._active is None
-        i, n = 0, len(work)
-        while i < n:
-            shared, local, event, initiated, key = work[i]
-            if (batching and local is None and not shared.init_names
-                    and not shared.cleanup_names and len(shared.body) == 1):
-                j = i + 1
-                while j < n and work[j][4] == key:
-                    j += 1
-                if j - i > 1:
-                    self._run_body_batch(
-                        shared, store, tracker,
-                        [entry[2] for entry in work[i:j]], initiated, key,
-                    )
-                    i = j
-                    continue
+        for shared, local, event, initiated, key in work:
             if shared is not None:
                 self._run_plan(shared, store, tracker, event, initiated, key)
             if local is not None:
@@ -869,7 +835,6 @@ class TeslaRuntime:
                     local_tracker = self._thread_tracker()
                 self._run_plan(local, local_store, local_tracker, event,
                                initiated, key)
-            i += 1
 
     def _run_plan(
         self,
@@ -884,17 +849,16 @@ class TeslaRuntime:
         for the global context; thread-local contexts need none).
 
         Every per-class unit of work runs inside a containment boundary:
-        a fault in one class's matchers, plans or pool is routed through
+        a fault in one class's matchers, steps or pool is routed through
         the supervisor's :class:`~repro.runtime.supervisor.FailurePolicy`
         (attributed to that class, which is what lets quarantine find the
         faulty one) without disturbing the other classes on this event.
         ``TemporalAssertionError`` always propagates — it is the fail-stop
         *violation* policy speaking, not a monitor fault.
         """
-        compiled = self.compiled
         # Facts are fetched only for body work: an event that merely opens
         # or closes bounds (all an idle workload sees) never needs them.
-        codegen = self.codegen and work.body
+        codegen = self.compiled and work.body
         supervisor = self.supervisor
         gov = self.governor
         if codegen:
@@ -920,10 +884,7 @@ class TeslaRuntime:
                         if not gov.admit_bound(name):
                             continue
                         cr.sample_rate = gov.sample_rate(name)
-                    handle_init(
-                        cr, event, self.hub, lazy=False,
-                        plan=cr.plan_for(key) if compiled else None,
-                    )
+                    handle_init(cr, event, self.hub, lazy=False)
                 except TemporalAssertionError:
                     raise
                 except Exception as exc:
@@ -942,23 +903,13 @@ class TeslaRuntime:
                 cr = store.get(name)
                 if self.lazy:
                     lazy_join_bound(cr, bound, tracker, governor=gov)
-                if codegen:
-                    entry = cr.step_for(key, facts)
-                    if entry is not None:
-                        entry.step(cr, event, self.hub)
-                    else:
-                        # Loud fallback: the generator declined this plan
-                        # (counted in gen_fallback_*); the compiled
-                        # interpreter carries the event instead.
-                        tesla_update_state(
-                            cr, event, self.hub, self.lazy,
-                            plan=cr.plan_for(key),
-                        )
+                entry = cr.step_for(key, facts) if codegen else None
+                if entry is not None:
+                    entry.step(cr, event, self.hub)
                 else:
-                    tesla_update_state(
-                        cr, event, self.hub, self.lazy,
-                        plan=cr.plan_for(key) if compiled else None,
-                    )
+                    # The naive engine, or the loud fallback for a key the
+                    # generator declined (counted in gen_fallback_*).
+                    tesla_update_state(cr, event, self.hub, self.lazy)
             except TemporalAssertionError:
                 raise
             except Exception as exc:
@@ -974,11 +925,7 @@ class TeslaRuntime:
                 for name in sorted(tracker.end(bound)):
                     t0 = gov.now() if gov is not None else 0.0
                     try:
-                        cr = store.get(name)
-                        handle_cleanup(
-                            cr, event, self.hub,
-                            plan=cr.plan_for(key) if compiled else None,
-                        )
+                        handle_cleanup(store.get(name), event, self.hub)
                     except TemporalAssertionError:
                         raise
                     except Exception as exc:
@@ -991,11 +938,7 @@ class TeslaRuntime:
             for name in work.cleanup_names:
                 t0 = gov.now() if gov is not None else 0.0
                 try:
-                    cr = store.get(name)
-                    handle_cleanup(
-                        cr, event, self.hub,
-                        plan=cr.plan_for(key) if compiled else None,
-                    )
+                    handle_cleanup(store.get(name), event, self.hub)
                 except TemporalAssertionError:
                     raise
                 except Exception as exc:
@@ -1004,54 +947,6 @@ class TeslaRuntime:
                 finally:
                     if gov is not None:
                         self._charge(gov, name, gov.now() - t0)
-
-    def _run_body_batch(
-        self,
-        work: _ContextPlan,
-        store: Store,
-        tracker: BoundTracker,
-        events: List[RuntimeEvent],
-        initiated: frozenset,
-        key: DispatchKey,
-    ) -> None:
-        """One class's pure-body share of a run of same-key events, in one
-        generated ``step_batch`` call (caller holds the global lock).
-
-        Only reached for runs with no init/cleanup work and exactly one
-        body class (``_run_batch`` enforces this), so the tracker's
-        bound state is constant across the run and a single lazy join
-        covers every event.  Containment granularity widens from per-event
-        to per-run: a monitor fault mid-batch forfeits the rest of the run
-        for this class, which the supervisor attributes exactly as before.
-        """
-        facts = self._codegen_facts()
-        supervisor = self.supervisor
-        gov = self.governor
-        for name, bound in work.body:
-            if name in initiated:
-                continue
-            t0 = gov.now() if gov is not None else 0.0
-            try:
-                cr = store.get(name)
-                if self.lazy:
-                    lazy_join_bound(cr, bound, tracker, governor=gov)
-                entry = cr.step_for(key, facts)
-                if entry is not None:
-                    entry.step_batch(cr, events, self.hub)
-                else:
-                    plan = cr.plan_for(key)
-                    for event in events:
-                        tesla_update_state(
-                            cr, event, self.hub, self.lazy, plan=plan
-                        )
-            except TemporalAssertionError:
-                raise
-            except Exception as exc:
-                if not supervisor.contain(name, "body", exc):
-                    raise
-            finally:
-                if gov is not None:
-                    self._charge(gov, name, gov.now() - t0, len(events))
 
     # -- maintenance --------------------------------------------------------------
 

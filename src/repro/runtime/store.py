@@ -24,10 +24,10 @@ from ..errors import ContextError
 from . import faultinject as _fi
 from .faultinject import fault_site
 from .instance import AutomatonInstance
-from .plans import TransitionPlan, build_transition_plan
+from .plans import build_transition_plan
 from .prealloc import DEFAULT_CAPACITY, InstancePool
 
-_FP_PLAN_FOR = fault_site("store.plan_for")
+_FP_STEP_FOR = fault_site("store.step_for")
 
 #: An event's routing identity: (event kind, dispatch name).
 DispatchKey = Tuple[EventKind, str]
@@ -88,11 +88,9 @@ class ClassRuntime:
         "errors",
         "accepts",
         "sites_reached",
-        "_plans",
-        "plan_hits",
-        "plan_misses",
         "_gen",
         "_gen_facts",
+        "_gen_share",
         "gen_hits",
         "gen_misses",
         "gen_fallback_plans",
@@ -136,24 +134,28 @@ class ClassRuntime:
         self.errors = 0
         self.accepts = 0
         self.sites_reached = 0
-        #: Compiled transition plans, keyed by dispatch key.  A plan is a
-        #: pure function of (automaton, key), so nothing outside this
-        #: class (hook churn, quarantine, governor) can make one stale.
-        self._plans: Dict[DispatchKey, TransitionPlan] = {}
-        self.plan_hits = 0
-        self.plan_misses = 0
-        #: tesla-jit generated step functions (DESIGN §5.7), keyed like
-        #: plans; an entry is a ``CompiledStep`` or a ``GenerationFallback``
-        #: (the "can't specialize" decision is cached too, so the compiled
-        #: interpreter fallback costs one dict probe, not a regeneration).
-        #: Every entry was generated under ``_gen_facts``: a step is a pure
-        #: function of (automaton, key, facts).
+        #: tesla-jit generated step functions (DESIGN §5.7), keyed by
+        #: dispatch key; an entry is a ``CompiledStep`` or a
+        #: ``GenerationFallback`` (the "can't specialize" decision is
+        #: cached too, so the interpreter fallback costs one dict probe,
+        #: not a regeneration).  Every entry was generated under
+        #: ``_gen_share``, this class's share of the runtime's facts: a
+        #: step is a pure function of (automaton, key, share), so nothing
+        #: else (hook churn, quarantine, governor, other classes'
+        #: installs) can make one stale.
         self._gen: Dict[DispatchKey, object] = {}
+        #: The runtime facts snapshot ``_gen_share`` was taken from.
         self._gen_facts = None
+        self._gen_share = None
         self.gen_hits = 0
         self.gen_misses = 0
-        self.gen_fallback_plans = 0
         self.gen_fallback_hits = 0
+        self._reset_gen_content()
+
+    def _reset_gen_content(self) -> None:
+        """Zero the counters that describe the step cache's *contents*
+        (they restart whenever the cache is emptied)."""
+        self.gen_fallback_plans = 0
         #: Generations whose source was already compiled (process-wide
         #: code cache hit) vs compiled afresh.
         self.gen_code_hits = 0
@@ -167,37 +169,28 @@ class ClassRuntime:
             self.transition_counts.get(transition, 0) + 1
         )
 
-    def plan_for(self, key: DispatchKey) -> TransitionPlan:
-        """The compiled plan for ``key``, built lazily on first use.
-
-        The caller must hold whatever lock serialises this class — the
-        cache is per-class state like the pool.
-        """
-        if _fi._active is not None:
-            _fi.fault_point(_FP_PLAN_FOR)
-        plan = self._plans.get(key)
-        if plan is None:
-            self.plan_misses += 1
-            plan = build_transition_plan(self.automaton, key)
-            self._plans[key] = plan
-        else:
-            self.plan_hits += 1
-        return plan
-
     def step_for(self, key: DispatchKey, facts):
         """The tesla-jit generated step for ``key``, or ``None`` when the
-        generator declined this plan (the caller then runs the compiled
-        interpreter via :meth:`plan_for`).
+        generator declined this key (the caller then runs the naive
+        interpreter, ``tesla_update_state``).
 
         ``facts`` is the runtime's :class:`~repro.runtime.codegen.
-        CodegenFacts` snapshot.  The cache holds steps generated under one
-        facts value; a snapshot that differs in content (an install
-        changed the lint or prove facts) drops them, an equal one keeps
-        them.  The caller must hold whatever lock serialises this class.
+        CodegenFacts` snapshot.  The cache holds steps generated under
+        this class's share of it (``facts.share_for``): a snapshot whose
+        share differs (an install changed this class's lint or prove
+        facts) drops the steps and the counters describing them, any
+        other snapshot keeps them.  On a miss the key's transition plan
+        is built as the generator's input and not kept.  The caller must
+        hold whatever lock serialises this class.
         """
+        if _fi._active is not None:
+            _fi.fault_point(_FP_STEP_FOR)
         if facts is not self._gen_facts:
-            if self._gen and facts != self._gen_facts:
+            share = facts.share_for(self.automaton)
+            if share != self._gen_share:
                 self._gen.clear()
+                self._reset_gen_content()
+                self._gen_share = share
             self._gen_facts = facts
         entry = self._gen.get(key)
         if entry is None:
@@ -206,9 +199,12 @@ class ClassRuntime:
             from .codegen import compile_plan_step
 
             self.gen_misses += 1
-            plan = self.plan_for(key)
             start = perf_counter()
-            entry = compile_plan_step(self.automaton, plan, facts)
+            entry = compile_plan_step(
+                self.automaton,
+                build_transition_plan(self.automaton, key),
+                self._gen_share,
+            )
             self.gen_seconds += perf_counter() - start
             self._gen[key] = entry
             if entry.step is None:
@@ -243,10 +239,6 @@ class ClassRuntime:
         }
 
     @property
-    def plan_cache_size(self) -> int:
-        return len(self._plans)
-
-    @property
     def gen_cache_size(self) -> int:
         return len(self._gen)
 
@@ -260,10 +252,8 @@ class ClassRuntime:
         self.overflow_mark = 0
         self.overflow_reported = False
         self.sample_rate = 1
-        # Plans and generated steps survive a reset (the automaton is
-        # unchanged); only the effectiveness counters restart.
-        self.plan_hits = 0
-        self.plan_misses = 0
+        # Generated steps survive a reset (the automaton is unchanged);
+        # only the effectiveness counters restart.
         self.gen_hits = 0
         self.gen_misses = 0
         self.gen_fallback_hits = 0

@@ -36,7 +36,6 @@ def monitoring(
     lazy: bool = True,
     capacity: Optional[int] = None,
     compile: Optional[bool] = None,
-    codegen: Optional[bool] = None,
     failure_policy: Optional[FailurePolicy] = None,
     deferred: object = False,
     overflow_policy: Optional[str] = None,
@@ -57,14 +56,12 @@ def monitoring(
     callees; ``objc_selectors`` routes those names through the
     interposition table; ``lazy=False`` selects the pre-optimisation
     runtime (the figure 13 ablation); ``capacity`` bounds instance pools;
-    ``compile=False`` selects the naive interpreter (the dispatch-cost
-    ablation measured by ``benchmarks/bench_dispatch_fastpath.py``);
-    ``codegen`` defaults to ``compile``, so by default each transition
-    plan runs as tesla-jit generated Python (DESIGN §5.7), falling back
-    to the compiled plan interpreter per plan when specialization is
-    unsupported; ``codegen=False`` keeps the compiled plan interpreter,
-    and ``codegen=True`` with ``compile=False`` is a ``ValueError``;
-    ``failure_policy`` selects
+    ``compile`` selects the step engine: by default each (class, event
+    key) runs as tesla-jit generated Python (DESIGN §5.7), falling back
+    to the naive interpreter per key when specialization is unsupported
+    (e.g. timed automata); ``compile=False`` runs the naive interpreter
+    throughout (the dispatch-cost ablation measured by
+    ``benchmarks/bench_dispatch_fastpath.py``); ``failure_policy`` selects
     how faults *inside the monitor* are handled (fail-stop default,
     fail-open, callback, or quarantine — see
     :mod:`repro.runtime.supervisor`).
@@ -117,8 +114,6 @@ def monitoring(
         kwargs["capacity"] = capacity
     if compile is not None:
         kwargs["compile"] = compile
-    if codegen is not None:
-        kwargs["codegen"] = codegen
     if failure_policy is not None:
         kwargs["failure_policy"] = failure_policy
     if deferred:

@@ -9,7 +9,7 @@ never correctness.  This module is that experiment:
 * a small deterministic application built on real instrumentation hooks
   (:func:`instrumentable` bounds/checks plus :func:`tesla_site` sites);
 * a baseline pass with no monitoring and no injection;
-* monitored passes across the naive / lazy / compiled / deferred
+* monitored passes across the naive / lazy / codegen / deferred
   runtime configurations with a seeded :class:`FaultInjector` armed —
   per-site at rate 1.0 for boundary coverage, then a combined ~10k-event
   trace;
@@ -150,24 +150,18 @@ def chaos_assertions(n_classes: int = 3):
 CONFIGS = [
     ("naive", dict(lazy=False, compile=False)),
     ("lazy", dict(lazy=True, compile=False)),
-    ("compiled", dict(lazy=True, compile=True, codegen=False)),
-    ("deferred", dict(lazy=True, compile=True, codegen=False,
-                      deferred="manual")),
-    ("deferred-bg", dict(lazy=True, compile=True, codegen=False,
-                         deferred=True)),
     # tesla-jit: an armed injector bypasses the generated fast path (the
     # ``_fi._active`` top guard), so every fault site stays reachable and
     # the verdict/containment contract is unchanged.
-    ("codegen", dict(lazy=True, compile=True, codegen=True)),
-    ("deferred-codegen", dict(lazy=True, compile=True,
-                              codegen=True, deferred="manual")),
+    ("codegen", dict(lazy=True, compile=True)),
+    ("deferred-codegen", dict(lazy=True, compile=True, deferred="manual")),
+    ("deferred-bg", dict(lazy=True, compile=True, deferred=True)),
     # Overhead governor armed (DESIGN §5.8).  The generous budget keeps
     # the ladder mostly quiet; what matters here is that the governor's
     # charge path runs on every dispatched class so its fault site is
     # reachable — and that a faulting governor trips (fail-safe) without
     # ever perturbing the application or the containment accounting.
-    ("governed", dict(lazy=True, compile=True, codegen=False,
-                      overhead_budget=0.9)),
+    ("governed", dict(lazy=True, compile=True, overhead_budget=0.9)),
 ]
 
 #: Fault sites this application's event flow can visit, per configuration
@@ -183,7 +177,9 @@ REACHABLE_SITES = {
     "update.init",
     "update.step",
     "update.cleanup",
-    "store.plan_for",
+    # Step lookup, and plan building on a step-cache miss (the generator's
+    # input): both run for every compile=True configuration.
+    "store.step_for",
     "plans.build",
     "drain.enqueue",
     "drain.merge",
@@ -432,7 +428,6 @@ class TestDeferredChaos:
                 failure_policy=FailOpen(),
                 lazy=True,
                 compile=True,
-                codegen=False,
                 deferred=True,
             ) as runtime:
                 threads = [
@@ -473,7 +468,6 @@ class TestGovernorChaos:
             failure_policy=FailOpen(),
             lazy=True,
             compile=True,
-            codegen=False,
             **kwargs,
         ) as runtime:
             result = run_app(ops)
@@ -522,7 +516,6 @@ class TestGovernorChaos:
                 failure_policy=FailOpen(),
                 lazy=True,
                 compile=True,
-                codegen=False,
                 overhead_budget=0.01,
             ) as runtime:
                 # Force the next tick to take a decision: the injected

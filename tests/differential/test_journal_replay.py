@@ -9,8 +9,7 @@ streams:
 
 1. the live run's verdicts,
 2. the journal replayed offline through the reference interpreter
-   (``naive``), the compiled fast path (``compiled``) and the tesla-jit
-   generated-code path (``codegen``),
+   (``naive``) and the tesla-jit generated-code path (``codegen``),
 3. the LTL oracle (:mod:`repro.replay.ltl_oracle`), which evaluates the
    ``tesla_ltl_map`` reading of each assertion directly over the journal
    and shares none of the automaton machinery.
@@ -93,8 +92,8 @@ def assertions_of(specs: Tuple[ClassSpec, ...]):
 def recording_twin(specs: Tuple[ClassSpec, ...], kwargs: dict):
     """A journaling runtime in the given configuration.  The journal
     records at the drain boundary, so every twin defers (``"manual"``
-    keeps the corpus deterministic); lazy/compile/codegen are the config
-    under test."""
+    keeps the corpus deterministic); lazy/compile are the config under
+    test."""
     twin_kwargs = dict(kwargs)
     twin_kwargs["deferred"] = "manual"
     buf = io.BytesIO()
@@ -129,7 +128,7 @@ def oracle_summary(assertions, slots):
 
 
 def check_agreement(name, specs, runtime, buf):
-    """Live verdicts vs journal replay (naive + compiled) vs LTL oracle."""
+    """Live verdicts vs journal replay (naive + codegen) vs LTL oracle."""
     live = verdict(runtime, len(specs))
     live_streams = violation_stream(runtime)
 
@@ -138,7 +137,7 @@ def check_agreement(name, specs, runtime, buf):
     assert len(journal.assertions) == len(specs)
     engine = ReplayEngine(journal)
 
-    for config in ("naive", "compiled", "codegen"):
+    for config in ("naive", "codegen"):
         result = engine.run(config)
         replayed = [
             result.classes[class_name(index)].as_tuple()
@@ -198,7 +197,7 @@ def test_multithread_journal_replays_to_live_verdicts(scenario):
     replay configs and the LTL oracle."""
     specs, thread_ops = scenario
     runtime, buf = recording_twin(
-        specs, dict(lazy=True, compile=True, codegen=False)
+        specs, dict(lazy=True, compile=True)
     )
     try:
         capture_concurrently(runtime, thread_ops)

@@ -1,4 +1,4 @@
-"""Differential stress-test harness: naive ≡ lazy ≡ batched ≡ compiled.
+"""Differential stress-test harness: naive ≡ lazy ≡ batched ≡ codegen.
 
 The same randomized event trace — arbitrary interleavings of bound
 entry/exit, body events and assertion sites over several assertion
@@ -10,10 +10,7 @@ every runtime configuration:
 * **lazy** (``lazy=True``): the §5.2.2 optimisation;
 * **batched**: lazy mode fed through
   :meth:`TeslaRuntime.dispatch_batch` in odd-sized chunks, one global
-  lock acquisition per chunk;
-* **compiled** / **compiled-naive**: the precompiled transition-plan
-  dispatch path (``compile=True``) in lazy and eager flavours —
-  interpreted and compiled matchers must be observationally identical.
+  lock acquisition per chunk.
 
 All configurations must agree on every class's accept count, error count,
 assertion-sites-reached count and final live-instance count, and on the
@@ -25,14 +22,14 @@ claim survives batching, compilation and deferral.
 
 Four tesla-jit configurations (**codegen**, **codegen-naive**,
 **codegen-batched**, **deferred-codegen**) extend the sweep to the
-generated-code dispatch path (DESIGN §5.7): specialized step functions,
-the per-plan interpreter fallback, and — via ``codegen-batched``'s
-odd-sized ``dispatch_batch`` chunks — the batch-per-key drain evaluation
+generated-code dispatch path (DESIGN §5.7, ``compile=True``):
+specialized step functions in lazy and eager flavours, fed per event,
+in odd-sized ``dispatch_batch`` chunks and through the deferred drain,
 must all be observationally identical to the naive interpreter.
 
 Two deferred-pipeline configurations ride the same sweep (**deferred**:
-per-thread ring capture with explicit drains; **deferred-compiled**: the
-same with compiled plans), and a
+per-thread ring capture with explicit drains; **deferred-codegen**: the
+same with generated steps), and a
 *replay oracle* extends the check to real concurrency: randomized
 8-thread traces are captured through the rings, the merged (seqno-sorted)
 dispatch sequence is recorded, and that exact sequence is replayed
@@ -111,11 +108,11 @@ def _automaton_for(index: int, bound: int, context: str):
 
 def build_runtime(
     specs: Tuple[ClassSpec, ...], lazy: bool,
-    compile: bool = False, deferred: object = False, codegen: bool = False,
+    compile: bool = False, deferred: object = False,
 ):
     runtime = TeslaRuntime(
         lazy=lazy, policy=LogAndContinue(), compile=compile,
-        deferred=deferred, codegen=codegen,
+        deferred=deferred,
     )
     for index, (bound, context) in enumerate(specs):
         automaton, ast_context = _automaton_for(index, bound, context)
@@ -197,15 +194,11 @@ CONFIGS = [
     ("naive", dict(lazy=False, compile=False)),
     ("lazy", dict(lazy=True, compile=False)),
     ("batched", dict(lazy=True, compile=False)),
-    ("compiled", dict(lazy=True, compile=True)),
-    ("compiled-naive", dict(lazy=False, compile=True)),
     ("deferred", dict(lazy=True, compile=False, deferred="manual")),
-    ("deferred-compiled", dict(lazy=True, compile=True, deferred="manual")),
-    ("codegen", dict(lazy=True, compile=True, codegen=True)),
-    ("codegen-naive", dict(lazy=False, compile=True, codegen=True)),
-    ("codegen-batched", dict(lazy=True, compile=True, codegen=True)),
-    ("deferred-codegen", dict(lazy=True, compile=True, codegen=True,
-                              deferred="manual")),
+    ("codegen", dict(lazy=True, compile=True)),
+    ("codegen-naive", dict(lazy=False, compile=True)),
+    ("codegen-batched", dict(lazy=True, compile=True)),
+    ("deferred-codegen", dict(lazy=True, compile=True, deferred="manual")),
 ]
 
 
@@ -305,15 +298,13 @@ def test_known_interleaving_regression():
 # -- the replay oracle: real concurrency vs the naive interpreter --------------
 
 #: Deferred flavours the multi-thread oracle sweeps: deterministic manual
-#: drains, the compiled fast path, and the background drainer racing the
+#: drains on either engine, and the background drainer racing the
 #: producers for real.
 MT_DEFERRED_CONFIGS = [
     ("mt-deferred", dict(lazy=True, compile=False, deferred="manual")),
-    ("mt-deferred-compiled", dict(lazy=True, compile=True,
-                                  deferred="manual")),
     ("mt-deferred-background", dict(lazy=True, compile=True,
                                     deferred=True)),
-    ("mt-deferred-codegen", dict(lazy=True, compile=True, codegen=True,
+    ("mt-deferred-codegen", dict(lazy=True, compile=True,
                                  deferred="manual")),
 ]
 

@@ -4,9 +4,9 @@ Timed assertions (DESIGN §5.9) move part of the semantics off the event
 *order* and onto the event *timestamps*: clock guards filter transitions,
 deadlines expire without a successor event, sliding rate windows count
 occurrences per span of capture time.  Every layer that toucheds a trace —
-the naive interpreter, lazy instantiation, compiled transition plans, the
-tesla-jit generated path (which refuses timed automata and must fall back
-loudly, per plan), the deferred ring/drain pipeline and batched dispatch —
+the naive interpreter, lazy instantiation, the tesla-jit generated path
+(which refuses timed automata and must fall back loudly, per key, to the
+naive interpreter), the deferred ring/drain pipeline and batched dispatch —
 therefore has a new way to diverge.  This module is the timed counterpart
 of ``test_mode_equivalence.py``:
 
@@ -20,7 +20,7 @@ of ``test_mode_equivalence.py``:
   and flush-time expiry may interleave deadline reports differently
   without changing the set of verdicts;
 * a journaling twin proves the capture timestamps survive the journal
-  byte-exactly and that replay (naive / compiled / codegen) and the
+  byte-exactly and that replay (naive / codegen) and the
   independent LTL oracle reproduce the live timed verdicts from the
   journal alone.
 
@@ -219,14 +219,12 @@ CONFIGS = [
     ("naive", dict(lazy=False, compile=False)),
     ("lazy", dict(lazy=True, compile=False)),
     ("batched", dict(lazy=True, compile=False)),
-    ("compiled", dict(lazy=True, compile=True, codegen=False)),
-    # tesla-jit refuses clock guards per plan and falls back to the
-    # compiled interpreter — this config proves the fallback is loud but
+    # tesla-jit refuses clock guards per key and falls back to the naive
+    # interpreter — this config proves the fallback is loud but
     # semantically invisible.
-    ("codegen", dict(lazy=True, compile=True, codegen=True)),
+    ("codegen", dict(lazy=True, compile=True)),
     ("deferred", dict(lazy=True, compile=False, deferred="manual")),
-    ("deferred-codegen", dict(lazy=True, compile=True,
-                              codegen=True, deferred="manual")),
+    ("deferred-codegen", dict(lazy=True, compile=True, deferred="manual")),
 ]
 
 
@@ -323,7 +321,7 @@ def test_timed_journal_replays_to_live_verdicts(scenario):
         ]
 
         engine = ReplayEngine(journal)
-        for config in ("naive", "compiled", "codegen"):
+        for config in ("naive", "codegen"):
             result = engine.run(config)
             replayed = [
                 result.classes[class_name(index)].as_tuple()[:3]
@@ -408,7 +406,7 @@ class TestAcceptance:
             ]
 
             engine = ReplayEngine(journal)
-            for config in ("naive", "compiled", "codegen"):
+            for config in ("naive", "codegen"):
                 result = engine.run(config)
                 assert result.violations == {
                     "timed_cls0": [DEADLINE_REASON]

@@ -10,8 +10,6 @@ from repro.core.patterns import (
     Flags,
     Ref,
     Var,
-    compile_args_matcher,
-    compile_pattern,
     compile_static_check,
     match_all,
 )
@@ -105,33 +103,12 @@ simple_patterns = st.one_of(
 )
 patterns = st.one_of(simple_patterns, simple_patterns.map(AddressOf))
 match_values = st.one_of(values, values.map(Ref))
-bindings = st.dictionaries(
-    st.sampled_from(["x", "y"]), values, max_size=2
-)
 
 
 class TestCompiledEquivalence:
-    """The closure compiler must be observationally identical to the
-    interpreted ``match`` methods for every pattern/value/binding."""
-
-    @given(pattern=patterns, value=match_values, binding=bindings)
-    def test_compile_pattern_matches_interpreter(self, pattern, value, binding):
-        before = dict(binding)
-        interpreted = pattern.match(value, binding)
-        compiled = compile_pattern(pattern)(value, binding)
-        assert compiled == interpreted  # None == None, dicts compare by value
-        assert binding == before  # neither side may mutate the binding
-
-    @given(
-        ps=st.lists(patterns, min_size=0, max_size=4),
-        vs=st.lists(match_values, min_size=0, max_size=4),
-        binding=bindings,
-    )
-    def test_compile_args_matcher_matches_match_all(self, ps, vs, binding):
-        ps, vs = tuple(ps), tuple(vs)
-        interpreted = match_all(ps, vs, binding)
-        compiled = compile_args_matcher(ps)(vs, binding)
-        assert compiled == interpreted
+    """The translator's compiled static checks must be observationally
+    identical to the interpreted ``match`` methods for every pattern and
+    value."""
 
     @given(pattern=patterns, value=match_values)
     def test_compile_static_check_matches_static_semantics(

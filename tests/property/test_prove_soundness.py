@@ -5,8 +5,8 @@ verdict carries an executable claim: *no trace the runtime could ever
 observe makes a PROVED assertion fail*.  This module turns that claim
 into a Hypothesis property — randomized traces of bound entries/exits,
 hooked-function activity and assertion sites are replayed through every
-engine configuration (naive interpreter, compiled plans, deferred
-capture, generated code), and a PROVED assertion must report **zero
+engine configuration (naive interpreter, deferred capture,
+generated code), and a PROVED assertion must report **zero
 errors in every configuration on every trace**.
 
 Two guards keep the property honest:
@@ -96,9 +96,8 @@ PROVED_NAMES = [name for name, _ in PROVABLE_SHAPES]
 
 CONFIGS = [
     ("naive", dict(lazy=False, compile=False)),
-    ("compiled", dict(lazy=True, compile=True, codegen=False)),
     ("deferred", dict(lazy=True, compile=False, deferred="manual")),
-    ("codegen", dict(lazy=True, compile=True, codegen=True)),
+    ("codegen", dict(lazy=True, compile=True)),
 ]
 
 Op = Tuple[str, ...]

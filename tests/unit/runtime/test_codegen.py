@@ -68,14 +68,14 @@ class _OpaquePattern(Pattern):
 
 
 class TestGenerateSource:
-    def test_body_key_generates_both_variants(self):
+    def test_body_key_generates_a_step(self):
         automaton = translate(_assertion())
         plan = build_transition_plan(automaton, (EventKind.RETURN, "cg_check"))
         gen = generate_source(automaton, plan, _facts())
         assert gen.fallback_reason is None
         assert f"# tesla-jit v{CODEGEN_VERSION} " in gen.source
         assert "def step(cr, event, hub):" in gen.source
-        assert "def step_batch(cr, events, hub):" in gen.source
+        assert "step_batch" not in gen.source
         # Constants live in the namespace, never in the text — values in
         # the source would break the byte-identical determinism contract.
         # (The plain name may appear in the header comment; a quoted
@@ -93,7 +93,7 @@ class TestGenerateSource:
         automaton = translate(weird)
         entry = _body_entry(automaton, (EventKind.RETURN, "cg_check"))
         assert isinstance(entry, GenerationFallback)
-        assert entry.step is None and entry.step_batch is None
+        assert entry.step is None
         assert entry.reason == "unsupported-pattern:_OpaquePattern"
 
     def test_arity_guards_elided_only_under_clean_facts(self):
@@ -210,15 +210,18 @@ def _run(events, **kwargs):
 
 class TestRuntimeFallbackContract:
     def test_codegen_requires_compile(self):
-        with pytest.raises(ValueError):
+        # Generated steps run exactly when compile=True: there is no
+        # separate knob left to ask for them without it.
+        assert TeslaRuntime(compile=False).codegen is False
+        assert TeslaRuntime(compile=True).codegen is True
+        with pytest.raises(TypeError):
             TeslaRuntime(compile=False, codegen=True)
 
     def test_codegen_matches_interpreters(self):
         events = _trace()
         naive = _run(events, compile=False)
-        compiled = _run(events, compile=True, codegen=False)
-        jitted = _run(events, compile=True, codegen=True)
-        assert _verdict(naive) == _verdict(compiled) == _verdict(jitted)
+        jitted = _run(events, compile=True)
+        assert _verdict(naive) == _verdict(jitted)
         cr = jitted.class_runtime("cg_cls")
         assert cr.gen_fallback_plans == 0
         assert cr.gen_hits > 0
@@ -229,16 +232,13 @@ class TestRuntimeFallbackContract:
         notifications are still produced."""
         events = _trace()
         seen = []
-        compiled = _run(events, compile=True, codegen=False)
-        jitted = TeslaRuntime(
-            lazy=True, policy=LogAndContinue(),
-            compile=True, codegen=True,
-        )
+        naive = _run(events, compile=False)
+        jitted = TeslaRuntime(lazy=True, policy=LogAndContinue())
         jitted.hub.add_handler(seen.append)
         jitted.install_assertion(_assertion())
         for event in events:
             jitted.handle_event(event)
-        assert _verdict(jitted) == _verdict(compiled)
+        assert _verdict(jitted) == _verdict(naive)
         assert seen, "detailed handler saw no notifications"
 
     def test_armed_faultinject_defers_to_interpreter(self):
@@ -246,21 +246,18 @@ class TestRuntimeFallbackContract:
         fault points stay reachable; a rate-0 injector must not change
         verdicts."""
         events = _trace()
-        compiled = _run(events, compile=True, codegen=False)
+        naive = _run(events, compile=False)
         arm(FaultInjector(seed=3, rate=0.0))
         try:
-            jitted = _run(events, compile=True, codegen=True)
+            jitted = _run(events, compile=True)
         finally:
             disarm()
-        assert _verdict(jitted) == _verdict(compiled)
+        assert _verdict(jitted) == _verdict(naive)
 
     def test_batch_drain_matches_sync_dispatch(self):
         events = _trace(rounds=8)
-        sync = _run(events, compile=True, codegen=True)
-        batched = TeslaRuntime(
-            lazy=True, policy=LogAndContinue(),
-            compile=True, codegen=True,
-        )
+        sync = _run(events, compile=True)
+        batched = TeslaRuntime(lazy=True, policy=LogAndContinue())
         batched.install_assertion(_assertion())
         for start in range(0, len(events), 16):
             batched.dispatch_batch(events[start:start + 16])
@@ -268,9 +265,9 @@ class TestRuntimeFallbackContract:
         assert batched.class_runtime("cg_cls").gen_hits > 0
 
     def test_batch_drain_fallback_class_uses_interpreter(self):
-        """A class whose plan cannot be specialized still gets correct
-        verdicts through ``dispatch_batch`` — the per-run interpreter
-        loop inside ``_run_body_batch``."""
+        """A class whose key cannot be specialized still gets correct
+        verdicts through ``dispatch_batch``: each event falls back to the
+        naive interpreter."""
         weird = tesla_global(
             call("cg_bound"),
             returnfrom("cg_bound"),
@@ -285,8 +282,7 @@ class TestRuntimeFallbackContract:
 
         def run(batched):
             runtime = TeslaRuntime(
-                lazy=True, policy=LogAndContinue(),
-                compile=True, codegen=batched is not None and batched,
+                lazy=True, policy=LogAndContinue(), compile=batched,
             )
             runtime.install_assertion(weird)
             events = _trace(rounds=8)
@@ -298,9 +294,9 @@ class TestRuntimeFallbackContract:
                     runtime.handle_event(event)
             return runtime
 
-        compiled = run(False)
+        naive = run(False)
         jitted = run(True)
-        assert _verdict(jitted) == _verdict(compiled)
+        assert _verdict(jitted) == _verdict(naive)
         cr = jitted.class_runtime("cg_cls")
         assert cr.gen_fallback_plans > 0
         assert cr.gen_fallback_hits > 0

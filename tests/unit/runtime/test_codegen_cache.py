@@ -1,9 +1,10 @@
 """The content-keyed tesla-jit caches (DESIGN §5.7).
 
-A plan is a pure function of (automaton, dispatch key) and a generated
-step of (automaton, key, :class:`CodegenFacts`), so nothing that only
-bumps the interest epoch — hook attach/detach, quarantine, governor
-demotion — may throw either away.  Below them sits one process-wide,
+A generated step is a pure function of (automaton, dispatch key, the
+class's share of the :class:`CodegenFacts`), so nothing that only bumps
+the interest epoch — hook attach/detach, quarantine, governor demotion —
+and no install that leaves the class's own facts alone may throw it
+away.  Below them sits one process-wide,
 bounded cache of code objects keyed by generated source text: a second
 runtime (or a replay) that generates the same source compiles nothing.
 """
@@ -100,8 +101,7 @@ class TestBumpKeepsCaches:
         _feed(runtime, events)
         cr = runtime.class_runtime("cc_bump")
         steps = dict(cr._gen)
-        plans = dict(cr._plans)
-        assert steps and plans
+        assert steps
         before = dispatch_stats(runtime)
         if bump == "epoch":
             interest_epoch.bump()  # what a hook attach/detach does
@@ -116,8 +116,6 @@ class TestBumpKeepsCaches:
         assert after.gen_hits > before.gen_hits
         for key, step in steps.items():
             assert cr._gen[key] is step
-        for key, plan in plans.items():
-            assert cr._plans[key] is plan
 
     def test_post_bump_replay_regenerates_nothing(self, compiles):
         """The count form of "a post-bump replay is within 2x of warm":
@@ -150,6 +148,15 @@ class TestFactsKeyTheStep:
         same = CodegenFacts(clean=True, arity_safe=frozenset({("cc_check", 2)}))
         assert cr.step_for(key, same) is first
         assert cr.gen_misses == 1
+        # Facts about other functions and other automata are not this
+        # class's share: same step, no miss.
+        wider = CodegenFacts(
+            clean=True,
+            arity_safe=frozenset({("cc_check", 2), ("elsewhere", 1)}),
+            occupancy={"another_cls": frozenset({0, 1})},
+        )
+        assert cr.step_for(key, wider) is first
+        assert cr.gen_misses == 1
         # Different content (the report went dirty): regenerated, and the
         # arity guard that was elided is back.
         dirty = CodegenFacts(clean=False, arity_safe=clean.arity_safe)
@@ -158,11 +165,25 @@ class TestFactsKeyTheStep:
         assert cr.gen_misses == 2
         assert first.elided_guards == 1 and second.elided_guards == 0
 
+    def test_facts_change_resets_the_content_counters(self):
+        """Dropping the steps drops what the counters said about them:
+        after dirty facts arrive, the one resident step elides nothing
+        and was generated once since the drop."""
+        cr = ClassRuntime(translate(_assertion("cc_content")))
+        key = (EventKind.RETURN, "cc_check")
+        clean = CodegenFacts(clean=True, arity_safe=frozenset({("cc_check", 2)}))
+        cr.step_for(key, clean)
+        assert cr.gen_elided_guards == 1
+        cr.step_for(key, CodegenFacts(clean=False))
+        assert cr.gen_cache_size == 1
+        assert cr.gen_elided_guards == 0
+        assert cr.gen_code_hits + cr.gen_code_misses == 1
+        assert cr.gen_misses == 2  # traffic, not content: it keeps counting
+
     def test_install_refreshes_the_facts_snapshot(self, compiles):
         """An install grows the prove report, so the runtime's facts
-        snapshot is rebuilt and the other class's steps regenerate; their
-        own facts did not change, so neither did their source, and the
-        code cache spares every compile."""
+        snapshot is rebuilt; the other class's own share of it did not
+        change, so its steps stay and nothing regenerates."""
         runtime = _runtime("cc_grow", prove="report")
         events = _trace("cc_grow")
         _feed(runtime, events)
@@ -174,9 +195,14 @@ class TestFactsKeyTheStep:
         assert set(runtime._codegen_facts().occupancy) == {
             "cc_grow", "cc_other",
         }
-        misses = runtime.class_runtime("cc_grow").gen_misses
+        cr = runtime.class_runtime("cc_grow")
+        misses = cr.gen_misses
+        steps = dict(cr._gen)
         _feed(runtime, events)
-        assert runtime.class_runtime("cc_grow").gen_misses > misses
+        assert cr.gen_misses == misses
+        assert cr.gen_hits > 0
+        for key, step in steps.items():
+            assert cr._gen[key] is step
         assert compiles == []
 
 

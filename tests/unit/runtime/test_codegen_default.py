@@ -1,14 +1,17 @@
-"""Generated steps are the default engine: ``codegen`` follows ``compile``.
+"""Generated steps are the default engine; ``compile=False`` is the other.
 
-``compile=False`` still selects the naive interpreter, so the naive
-replay configuration the benchmark grades journals with still builds its
-runtime.  (The refused ``compile=False, codegen=True`` combination is
-pinned in ``test_codegen.py``.)
+``compile=False`` selects the naive interpreter, so the naive replay
+configuration the benchmark grades journals with still builds its
+runtime.  ``runtime.codegen`` survives only as a read-only alias of
+``runtime.compiled``.
 """
 
 from __future__ import annotations
 
+import inspect
 import io
+
+import pytest
 
 from repro.core.dsl import ANY, call, fn, previously, returnfrom, tesla_global, var
 from repro.core.events import assertion_site_event, call_event, return_event
@@ -50,9 +53,16 @@ class TestDefault:
         assert runtime.codegen is False
         assert codegen_report(runtime) is None
 
-    def test_explicit_codegen_false_keeps_the_plan_interpreter(self):
-        runtime = TeslaRuntime(codegen=False)
-        assert (runtime.compiled, runtime.codegen) == (True, False)
+    def test_codegen_knob_is_gone(self):
+        with pytest.raises(TypeError):
+            TeslaRuntime(codegen=False)
+        with pytest.raises(TypeError):
+            with monitoring([], codegen=True):
+                pass
+        knobs = inspect.signature(TeslaRuntime).parameters
+        assert len(knobs) == 15 and "codegen" not in knobs
+        with pytest.raises(AttributeError):
+            TeslaRuntime().codegen = False
 
     def test_monitoring_follows_the_same_default(self):
         with monitoring([], policy=LogAndContinue()) as runtime:

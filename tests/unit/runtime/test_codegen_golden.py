@@ -2,15 +2,15 @@
 
 ``tests/fixtures/golden_codegen.txt`` is the committed output of
 ``dump_sources`` for a fixed representative assertion under clean lint
-facts — every specialized ``step``/``step_batch`` function the generator
-emits for it, byte for byte.  A diff here means the generator's output
+facts — every specialized ``step`` function the generator emits for it,
+byte for byte.  A diff here means the generator's output
 changed — which is allowed, but only deliberately:
 
 1. bump ``CODEGEN_VERSION`` in ``src/repro/runtime/codegen.py`` (the
    version is embedded in each function's header comment, so the bump
    itself forces a fixture diff),
 2. re-run the differential harness so the new code shape is proven
-   equivalent to the compiled interpreter,
+   equivalent to the naive interpreter,
 3. regenerate the fixture:
    ``PYTHONPATH=src python -m tests.unit.runtime.test_codegen_golden``
 4. mention the bump in CHANGES.md.
@@ -53,7 +53,7 @@ UPGRADE_INSTRUCTIONS = (
     "The tesla-jit generated source changed. If this was intentional: bump "
     "CODEGEN_VERSION in src/repro/runtime/codegen.py, re-run the "
     "differential harness (tests/differential) to prove the new code shape "
-    "against the compiled interpreter, regenerate the fixture with "
+    "against the naive interpreter, regenerate the fixture with "
     "`PYTHONPATH=src python -m tests.unit.runtime.test_codegen_golden`, and "
     "note the bump in CHANGES.md. If it was NOT intentional, revert — "
     "silent generator drift surfaces later as perf regressions or "
@@ -119,7 +119,6 @@ def test_golden_source_compiles_and_is_complete():
         plan = build_transition_plan(automaton, key)
         entry = compile_plan_step(automaton, plan, golden_facts())
         assert entry.step is not None, key
-        assert entry.step_batch is not None, key
 
 
 if __name__ == "__main__":  # regenerate the fixture (see module docstring)

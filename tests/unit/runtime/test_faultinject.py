@@ -28,7 +28,7 @@ class TestDeclaration:
         # does) must have declared every boundary the issue names.
         sites = declared_fault_sites()
         for expected in (
-            "store.plan_for",
+            "store.step_for",
             "plans.build",
             "update.init",
             "update.step",

@@ -1,5 +1,5 @@
-"""Unit tests for compiled transition plans and their content-keyed
-cache."""
+"""Unit tests for transition plans (the generator's input) and the
+content-keyed step cache built from them."""
 
 from repro.core.automaton import TransitionKind
 from repro.core.dsl import (
@@ -18,11 +18,11 @@ from repro.core.events import (
     return_event,
 )
 from repro.core.translate import translate_all
+from repro.introspect import dispatch_stats
 from repro.runtime.epoch import interest_epoch
 from repro.runtime.manager import TeslaRuntime
 from repro.runtime.notify import LogAndContinue
 from repro.runtime.plans import build_transition_plan
-from repro.runtime.store import ClassRuntime
 
 
 def _automaton(name="plan_cls", check="plan_check", bound="plan_bound"):
@@ -38,22 +38,22 @@ def _automaton(name="plan_cls", check="plan_check", bound="plan_bound"):
 class TestPlanConstruction:
     def test_plans_split_by_dispatch_key(self):
         automaton, _ = _automaton()
-        init_plan = build_transition_plan(
-            automaton, (EventKind.CALL, "plan_bound")
-        )
-        assert init_plan.init and not init_plan.cleanup and not init_plan.body
-        cleanup_plan = build_transition_plan(
-            automaton, (EventKind.RETURN, "plan_bound")
-        )
-        assert cleanup_plan.cleanup and not cleanup_plan.init
+        # Bound events carry no body transitions: init and cleanup are
+        # matched by the interpreter's handle_init/handle_cleanup.
+        for key in [
+            (EventKind.CALL, "plan_bound"),
+            (EventKind.RETURN, "plan_bound"),
+            (EventKind.CALL, "someone_else"),
+        ]:
+            assert not build_transition_plan(automaton, key).body, key
         body_plan = build_transition_plan(
             automaton, (EventKind.RETURN, "plan_check")
         )
-        assert body_plan.body and not body_plan.init and not body_plan.cleanup
-        unrelated = build_transition_plan(
-            automaton, (EventKind.CALL, "someone_else")
+        assert body_plan.body
+        assert all(
+            t.kind is TransitionKind.EVENT and src == t.src
+            for src, t in body_plan.body
         )
-        assert not (unrelated.init or unrelated.cleanup or unrelated.body)
 
     def test_site_transitions_keyed_by_automaton_name(self):
         automaton, _ = _automaton()
@@ -62,19 +62,14 @@ class TestPlanConstruction:
         )
         assert site_plan.body
         assert all(
-            t.kind is TransitionKind.SITE for _, t, _ in site_plan.body
+            t.kind is TransitionKind.SITE for _, t in site_plan.body
         )
 
     def test_plan_enabled_agrees_with_interpreter(self):
+        """The plan's body is the generator's whole view of a key: every
+        transition the interpreter enables on an event of that key, from
+        any states and under any binding, is in it."""
         automaton, _ = _automaton()
-
-        def normalised(pairs):
-            return sorted(
-                (t.src, t.dst, t.kind.value, t.symbol,
-                 tuple(sorted(new.items())))
-                for t, new in pairs
-            )
-
         plan = build_transition_plan(
             automaton, (EventKind.RETURN, "plan_check")
         )
@@ -84,54 +79,71 @@ class TestPlanConstruction:
         event = return_event("plan_check", ("c", "val1"), 0)
         site = assertion_site_event(automaton.name, {"v": "val1"})
         all_states = frozenset(range(automaton.n_states))
-        for states in [automaton.entry_states, all_states]:
-            for binding in [{}, {"v": "val1"}, {"v": "other"}]:
-                assert normalised(
-                    plan.enabled(states, event, binding)
-                ) == normalised(
-                    automaton.enabled(states, event, binding)
-                ), (states, binding)
-                assert normalised(
-                    site_plan.enabled(states, site, binding)
-                ) == normalised(
-                    automaton.enabled(states, site, binding)
-                ), (states, binding)
+        for p, ev in [(plan, event), (site_plan, site)]:
+            body = {t for _, t in p.body}
+            for states in [automaton.entry_states, all_states]:
+                for binding in [{}, {"v": "val1"}, {"v": "other"}]:
+                    enabled = {
+                        t for t, _ in automaton.enabled(states, ev, binding)
+                    }
+                    assert enabled <= body, (states, binding)
+            assert {
+                t for t, _ in automaton.enabled(all_states, ev, {})
+            } == body
 
 
 class TestPlanCache:
+    """The one per-(class, key) cache holds generated steps; plans are
+    built only on its misses.  ``dispatch_stats``' plan counters read it."""
+
+    def _runtime(self, name):
+        runtime = TeslaRuntime(policy=LogAndContinue())
+        automaton, context = _automaton(name=name)
+        runtime.install_automaton(automaton, context)
+        return runtime
+
+    def _body_events(self, runtime):
+        for event in [
+            call_event("plan_bound", ()),
+            return_event("plan_check", ("c", "v1"), 0),
+            return_event("plan_check", ("c", "v1"), 0),
+        ]:
+            runtime.handle_event(event)
+
     def test_hits_misses_and_bump_keeps_plans(self):
-        automaton, _ = _automaton(name="plan_cache_cls")
-        cr = ClassRuntime(automaton)
-        key = (EventKind.RETURN, "plan_check")
-        first = cr.plan_for(key)
-        assert (cr.plan_misses, cr.plan_hits) == (1, 0)
-        assert cr.plan_for(key) is first
-        assert (cr.plan_misses, cr.plan_hits) == (1, 1)
-        assert cr.plan_cache_size == 1
-        # A plan is a function of (automaton, key) alone: a registration
-        # elsewhere bumps the interest epoch but leaves the plan valid.
+        runtime = self._runtime("plan_cache_cls")
+        self._body_events(runtime)
+        stats = dispatch_stats(runtime)
+        assert (stats.plan_misses, stats.plan_hits) == (1, 1)
+        assert (stats.gen_misses, stats.gen_hits) == (1, 1)
+        assert stats.cached_steps == 1
+        cr = runtime.class_runtime("plan_cache_cls")
+        (step,) = cr._gen.values()
+        # A step is a function of (automaton, key, facts) alone: a
+        # registration elsewhere bumps the interest epoch but leaves it.
         interest_epoch.bump()
-        assert cr.plan_for(key) is first
-        assert (cr.plan_misses, cr.plan_hits) == (1, 2)
+        runtime.handle_event(return_event("plan_check", ("c", "v1"), 0))
+        stats = dispatch_stats(runtime)
+        assert (stats.plan_misses, stats.plan_hits) == (1, 2)
+        assert cr._gen[(EventKind.RETURN, "plan_check")] is step
 
     def test_reset_keeps_plans_but_zeroes_counters(self):
-        automaton, _ = _automaton(name="plan_reset_cls")
-        cr = ClassRuntime(automaton)
-        cr.plan_for((EventKind.RETURN, "plan_check"))
-        cr.reset()
-        assert cr.plan_cache_size == 1
-        assert (cr.plan_hits, cr.plan_misses) == (0, 0)
+        runtime = self._runtime("plan_reset_cls")
+        self._body_events(runtime)
+        runtime.reset()
+        stats = dispatch_stats(runtime)
+        assert stats.cached_steps == 1
+        assert (stats.plan_hits, stats.plan_misses) == (0, 0)
 
 
 class TestMidTraceAttach:
     """Attaching a class mid-trace must leave verdicts identical to the
-    interpreted engine's, and leave the other classes' plans and
-    generated steps in place."""
+    interpreted engine's, and leave the other classes' generated steps in
+    place."""
 
-    def _run(self, compile, codegen=None, snapshots=None):
+    def _run(self, compile, snapshots=None):
         runtime = TeslaRuntime(
             lazy=True, policy=LogAndContinue(), compile=compile,
-            codegen=codegen,
         )
         auto_a, ctx_a = _automaton(
             name="attach_a", check="attach_check_a", bound="attach_bound"
@@ -149,7 +161,7 @@ class TestMidTraceAttach:
             runtime.handle_event(event)
         if snapshots is not None:
             cr_a = runtime.class_runtime("attach_a")
-            snapshots.append((dict(cr_a._plans), dict(cr_a._gen)))
+            snapshots.append(dict(cr_a._gen))
         runtime.install_automaton(auto_b, ctx_b)
         part2 = [
             return_event("attach_check_b", ("c", "v2"), 0),
@@ -165,32 +177,16 @@ class TestMidTraceAttach:
             verdicts[name] = (cr.accepts, cr.errors, cr.sites_reached)
         return runtime, verdicts
 
-    def test_compiled_matches_interpreted_and_keeps_plans(self):
-        snapshots = []
-        compiled_runtime, compiled_verdicts = self._run(
-            compile=True, codegen=False, snapshots=snapshots
-        )
-        _, interpreted_verdicts = self._run(compile=False)
-        assert compiled_verdicts == interpreted_verdicts
-        assert compiled_verdicts["attach_a"] == (1, 1, 1)
-        assert compiled_verdicts["attach_b"] == (1, 0, 1)
-        # Class A had plans cached before B's installation bumped the
-        # epoch; its part-2 events reused them rather than rebuilding.
-        (plans_before, _), = snapshots
-        cr_a = compiled_runtime.class_runtime("attach_a")
-        assert plans_before
-        for key, plan in plans_before.items():
-            assert cr_a._plans[key] is plan
-        assert cr_a.plan_misses == cr_a.plan_cache_size
-
     def test_codegen_matches_interpreted_and_keeps_steps(self):
         snapshots = []
         jit_runtime, jit_verdicts = self._run(
-            compile=True, codegen=True, snapshots=snapshots
+            compile=True, snapshots=snapshots
         )
         _, interpreted_verdicts = self._run(compile=False)
         assert jit_verdicts == interpreted_verdicts
-        (_, steps_before), = snapshots
+        assert jit_verdicts["attach_a"] == (1, 1, 1)
+        assert jit_verdicts["attach_b"] == (1, 0, 1)
+        steps_before, = snapshots
         cr_a = jit_runtime.class_runtime("attach_a")
         assert steps_before
         for key, step in steps_before.items():

@@ -187,7 +187,7 @@ class TestCodegenWidening:
         automaton = self._automaton()
         key = (EventKind.RETURN, "pg_check")
         plan = build_transition_plan(automaton, key)
-        srcs = {src for src, _t, _m in plan.body}
+        srcs = {src for src, _t in plan.body}
         # Dirty lint facts alone elide nothing...
         dirty = generate_source(
             automaton, plan, CodegenFacts(clean=False)
@@ -226,7 +226,7 @@ class TestCodegenWidening:
         assert facts.clean is False  # no lint report: no lint facts
 
     def test_runtime_facts_carry_prove_occupancy(self):
-        rt = TeslaRuntime(prove="report", compile=True, codegen=True)
+        rt = TeslaRuntime(prove="report", compile=True)
         rt.install_assertions([unprovable()])
         facts = rt._codegen_facts()
         assert "pg_live" in facts.occupancy

@@ -21,6 +21,7 @@ from repro.core.events import (
     return_event,
 )
 from repro.core.translate import translate
+from repro.introspect import dispatch_stats
 from repro.runtime.clock import FakeClock
 from repro.runtime.codegen import GenerationFallback, compile_plan_step
 from repro.runtime.plans import build_transition_plan
@@ -289,7 +290,6 @@ class TestCodegenRefusal:
             clock=clock,
             lazy=True,
             compile=True,
-            codegen=True,
         )
         runtime.handle_event(call_event("td_bound", ()))
         runtime.handle_event(assertion_site_event("td_cls", {}))
@@ -304,6 +304,32 @@ class TestCodegenRefusal:
             reason == "timed-automaton:clock-guards"
             for _, reason in summary["fallback_keys"]
         )
+
+
+    @pytest.mark.parametrize("late_s", [0.01, 0.2])
+    def test_fallback_verdicts_equal_the_naive_engine(self, late_s):
+        """The generated engine's fallback for a timed class is the naive
+        interpreter itself: on time or late, the verdicts are the same."""
+
+        def run(compile):
+            clock = FakeClock()
+            runtime = runtime_with(
+                deadline_assertion(), clock=clock, compile=compile
+            )
+            runtime.handle_event(call_event("td_bound", ()))
+            runtime.handle_event(assertion_site_event("td_cls", {}))
+            clock.advance(late_s)
+            runtime.handle_event(call_event("td_done", ()))
+            runtime.handle_event(return_event("td_bound", (), 0))
+            (cr,) = runtime.all_class_runtimes("td_cls")
+            return runtime, (cr.accepts, cr.errors, reasons(runtime))
+
+        jitted, jitted_verdicts = run(True)
+        _, naive_verdicts = run(False)
+        assert jitted_verdicts == naive_verdicts
+        stats = dispatch_stats(jitted)
+        assert stats.gen_fallback_plans > 0
+        assert stats.gen_hits == 0
 
 
 class TestJournalTimestamps:

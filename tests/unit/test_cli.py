@@ -135,7 +135,6 @@ class TestCodegen:
         out = capsys.readouterr().out
         assert "# tesla-jit v" in out
         assert "def step(cr, event, hub):" in out
-        assert "def step_batch(cr, events, hub):" in out
 
     def test_assertion_filter(self, capsys):
         assert main(["codegen", "examples", "--assertion", "figure1"]) == 0

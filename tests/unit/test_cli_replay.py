@@ -138,7 +138,7 @@ class TestOptions:
     def test_every_named_config_replays(self, tmp_path, capsys):
         path = tmp_path / "ok.tjournal"
         record(path, VIOLATING_OPS)
-        for config in ("naive", "lazy", "compiled", "deferred"):
+        for config in ("naive", "lazy", "codegen", "deferred"):
             assert main(["replay", str(path), "--config", config]) == 1
             assert f"replay [{config}]" in capsys.readouterr().out
 
